@@ -16,13 +16,14 @@ from .tree import (
     rooted_portrait, state,
 )
 from .closure import (
-    ClosureReport, PermSolveFail, RelationPresentation, SaturationOverflow,
-    ZetaUnbounded, annihilator_check, as_machine, extract_relations,
-    order_to_depth, peel, restrict_to_orbit, state_closure, zeta,
+    ClosureReport, DedupeCollision, PermSolveFail, RelationPresentation,
+    SaturationOverflow, ZetaUnbounded, annihilator_check, as_machine,
+    extract_relations, order_to_depth, peel, restrict_to_orbit,
+    state_closure, zeta,
 )
 from .endo import (
     AddingMachineConjugation, FgAbelianGroup, NonUnitSum, SelfSimilarMachine,
-    Transversal, VirtualEndo, adding_machine_conjugator,
+    StageRootDrift, Transversal, VirtualEndo, adding_machine_conjugator,
     closed_form_conjugator, closed_form_sequences, coset_permutation,
     phi_rep, transversal_change, transversal_conjugator, triple_from_json,
 )

@@ -27,7 +27,6 @@ ENUM_CAP = 10000
 PAIRWISE_CAP = 24
 WITNESS_CAP = 400
 WITNESS_SCAN_BUDGET = 20000
-LEVEL_ENUM_CAP = 2000000
 CERT_LEVEL_CAP = 3000000
 
 
@@ -36,6 +35,10 @@ class SaturationOverflow(ArithmeticError):
 
 
 class PermSolveFail(ArithmeticError):
+    pass
+
+
+class DedupeCollision(ArithmeticError):
     pass
 
 
@@ -296,7 +299,9 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
     if system.foldable and len(states) <= 2 * PAIRWISE_CAP:
         # the digit-prefix keys promise pairwise distinctness; spot-check it
         for a, b in itertools.combinations(states, 2):
-            assert not a.equal_to_depth(b, depth), "dedupe key collision"
+            if a.equal_to_depth(b, depth):
+                raise DedupeCollision(
+                    "states %r and %r share a portrait but not a key" % (a, b))
 
     roots = [g.root() for g in generators]
     orbits = _root_orbits(roots, ctx.m)
@@ -556,12 +561,12 @@ def annihilator_check(expr, r, depth=None):
 
 
 def order_to_depth(expr, depth=None):
-    """The order of expr's action on the first `depth` levels."""
-    ctx = expr.system.ctx
-    depth = ctx.L if depth is None else depth
-    if ctx.m ** depth > LEVEL_ENUM_CAP:
-        raise DepthExceeded("level %d too large to enumerate" % depth)
-    return expr.portrait(depth).level_perm(depth).order()
+    """The order of expr's action on the first `depth` levels.
+
+    Computed on the portrait by the cycle formula (Portrait.order), so
+    no level is enumerated and there is no size limit.
+    """
+    return expr.portrait(depth).order()
 
 
 def zeta(expr, depth=None):

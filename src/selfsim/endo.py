@@ -30,6 +30,10 @@ class NonUnitSum(ArithmeticError):
     pass
 
 
+class StageRootDrift(ArithmeticError):
+    pass
+
+
 class FgAbelianGroup(object):
     """Z^free_rank plus cyclic factors; elements are integer tuples."""
 
@@ -352,7 +356,7 @@ def adding_machine_conjugator(beta, j, depth=None):
     if word != system._normalize(system.generator().word):
         raise ShapeMismatch("conjugation applies to the generator itself")
     ctx = system.ctx
-    depth = ctx.L if depth is None else depth
+    depth = ctx.depth(depth)
     if j < 1 or j - 1 > ctx.D:
         raise ValueError("shift %d outside the degree bound" % j)
     qsum = PowerSeries(ctx.mod, ctx.D, system._qsum)
@@ -381,7 +385,10 @@ def adding_machine_conjugator(beta, j, depth=None):
     while n * j < depth:
         bn = beta.pow_series(qn)
         root, kids = bn.decompose()
-        assert root == system.sigma, "stage root drifted off the base cycle"
+        if root != system.sigma:
+            raise StageRootDrift(
+                "stage %d root %r drifted off the base cycle %r"
+                % (n, root, system.sigma))
         exps = []
         for child in kids:
             w = system._normalize(child.word)
@@ -454,7 +461,7 @@ def closed_form_conjugator(beta, depth=None):
     ctx = system.ctx
     if ctx.m != 2:
         raise ShapeMismatch("the closed form is specific to binary trees")
-    depth = ctx.L if depth is None else depth
+    depth = ctx.depth(depth)
     qsum = PowerSeries(ctx.mod, ctx.D, system._qsum)
     _, cps = closed_form_sequences(qsum, depth)
     conj = None

@@ -23,6 +23,7 @@ require K >= L and D >= L: depth-L observations are then exact.
 
 import os
 import re
+from math import lcm
 
 from .adic import MAdicInt, Modulus, PowerSeries
 
@@ -121,8 +122,7 @@ class Permutation(object):
         return result
 
     def order(self):
-        from math import lcm
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(1, *(len(c) for c in self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its least point."""
@@ -192,6 +192,8 @@ class Context(object):
     __slots__ = ("m", "K", "D", "L", "mod", "cache_cap")
 
     def __init__(self, m, K=8, D=8, L=8, cache_cap=None):
+        if L < 1:
+            raise ContextError("need depth L >= 1")
         if K < L or D < L:
             raise ContextError("need K >= L and D >= L for exact depth-L portraits")
         self.m = m
@@ -227,6 +229,16 @@ class Context(object):
     def __hash__(self):
         return hash((self.m, self.K, self.D, self.L))
 
+    def depth(self, depth=None):
+        """Resolve a depth argument: None means L, else it must lie in 1..L."""
+        if depth is None:
+            return self.L
+        if depth < 1:
+            raise DepthExceeded("depth must be at least 1, got %d" % depth)
+        if depth > self.L:
+            raise DepthExceeded("depth %d exceeds truncation %d" % (depth, self.L))
+        return depth
+
     def __repr__(self):
         return "Context(m=%d, K=%d, D=%d, L=%d)" % (self.m, self.K, self.D, self.L)
 
@@ -237,13 +249,22 @@ class Portrait(object):
     """Depth-L truncation of an automorphism: a tree of permutations.
 
     Portraits are hash-consed so that equal subtrees are usually the same
-    object; equality falls back to structural comparison, so clearing the
-    intern table is always safe.
+    object, which makes a portrait a DAG of distinct nodes.  Products,
+    inverses and orders are memoized in computed tables keyed on node
+    identity (each entry keeps its operands alive, so an id is never
+    reused while its entry exists), so their cost follows the number of
+    distinct nodes and node pairs, not the m^depth vertices.  The tables
+    clear together with the intern table at DEFAULT_CACHE entries;
+    equality falls back to structural comparison, so clearing is always
+    safe.
     """
 
     __slots__ = ("root", "children", "depth", "_hash")
 
     _intern = {}
+    _products = {}   # (id(a), id(b)) -> (a, b, a*b)
+    _inverses = {}   # id(a) -> (a, a^-1)
+    _orders = {}     # id(a) -> (a, order of a)
 
     def __init__(self, root, children):
         self.root = root
@@ -258,10 +279,20 @@ class Portrait(object):
         if hit is not None:
             return hit
         node = cls(root, children)
-        if len(cls._intern) > DEFAULT_CACHE:
-            cls._intern.clear()
-        cls._intern[key] = node
+        cls._remember(cls._intern, key, node)
         return node
+
+    @classmethod
+    def _remember(cls, table, key, value):
+        if len(table) > DEFAULT_CACHE:
+            cls.clear_tables()
+        table[key] = value
+
+    @classmethod
+    def clear_tables(cls):
+        """Drop the intern table and every computed table together."""
+        for table in (cls._intern, cls._products, cls._inverses, cls._orders):
+            table.clear()
 
     def __eq__(self, other):
         if self is other:
@@ -335,18 +366,65 @@ class Portrait(object):
             raise TypeError("expected a portrait")
         if self.depth != other.depth or self.m != other.m:
             raise ShapeMismatch("portrait shapes differ")
-        root = self.root * other.root
+        return self._mul(other)
+
+    def _mul(self, other):
+        key = (id(self), id(other))
+        hit = Portrait._products.get(key)
+        if hit is not None:
+            return hit[2]
+        images = self.root.images
         kids = tuple(
-            self.children[y] * other.children[self.root.apply(y + 1) - 1]
-            for y in range(len(self.children)))
-        return Portrait.make(root, kids)
+            child._mul(other.children[images[y] - 1])
+            for y, child in enumerate(self.children))
+        node = Portrait.make(self.root * other.root, kids)
+        Portrait._remember(Portrait._products, key, (self, other, node))
+        return node
 
     def inverse(self):
+        hit = Portrait._inverses.get(id(self))
+        if hit is not None:
+            return hit[1]
         inv = self.root.inverse()
         kids = tuple(
-            self.children[inv.apply(y + 1) - 1].inverse()
+            self.children[inv.images[y] - 1].inverse()
             for y in range(len(self.children)))
-        return Portrait.make(inv, kids)
+        node = Portrait.make(inv, kids)
+        Portrait._remember(Portrait._inverses, id(self), (self, node))
+        return node
+
+    def order(self):
+        """The order of the automorphism on the portrait's depth.
+
+        The cycle formula: the lcm, over the root's cycles C (fixed points
+        included), of |C| times the order of the product of the children
+        along C in right-action order, which is the state of g^|C| at
+        the cycle's first letter.  Memoized per node.
+        """
+        hit = Portrait._orders.get(id(self))
+        if hit is not None:
+            return hit[1]
+        if not self.children:
+            result = self.root.order()
+        else:
+            result = 1
+            images = self.root.images
+            seen = [False] * len(images)
+            for start in range(len(images)):
+                if seen[start]:
+                    continue
+                y = start
+                state = None
+                length = 0
+                while not seen[y]:
+                    seen[y] = True
+                    child = self.children[y]
+                    state = child if state is None else state._mul(child)
+                    y = images[y] - 1
+                    length += 1
+                result = lcm(result, length * state.order())
+        Portrait._remember(Portrait._orders, id(self), (self, result))
+        return result
 
     def suspended(self, levels):
         """The diagonal lift: this portrait at every vertex `levels` down."""
@@ -493,10 +571,7 @@ class AutExpr(object):
         return self.act(u)[1]
 
     def portrait(self, depth=None):
-        depth = self.system.ctx.L if depth is None else depth
-        if depth > self.system.ctx.L:
-            raise DepthExceeded("depth %d exceeds truncation %d" % (depth, self.system.ctx.L))
-        return self.system._portrait(self.word, depth)
+        return self.system._portrait(self.word, self.system.ctx.depth(depth))
 
     def is_identity(self, depth=None):
         depth = self.system.ctx.L if depth is None else depth
@@ -958,6 +1033,7 @@ class FoldSystem(System):
             raise ShapeMismatch("expected %d exponent series" % ctx.m)
         self.name = name
         self.sigma = sigma
+        self._sigma_powers = tuple(sigma ** c for c in range(ctx.m))
         self.exponents = tuple(ctx.series(p) for p in exponents)
         self._plifts = tuple(p.lifts() for p in self.exponents)
         qsum = [0] * (ctx.D + 1)
@@ -1010,7 +1086,7 @@ class FoldSystem(System):
                 acc[d] = (acc[d] + self._qsum[d] * xi + tail[d]) % mK
             word = ((name, tuple(acc)),) if any(acc) else ()
             children.append(word)
-        result = (self.sigma ** c, tuple(children))
+        result = (self._sigma_powers[c], tuple(children))
         if len(self._atom_memo) > self.ctx.cache_cap:
             self._atom_memo.clear()
         self._atom_memo[atom] = result

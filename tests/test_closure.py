@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfsim.adic import PowerSeries, parse_series, reduce_mod_r
+from selfsim import closure
 from selfsim.closure import (
-    PermSolveFail, SaturationOverflow, ZetaUnbounded, annihilator_check,
+    DedupeCollision, PermSolveFail, SaturationOverflow, ZetaUnbounded, annihilator_check,
     as_machine, extract_relations, order_to_depth, peel, restrict_to_orbit,
     state_closure, zeta,
 )
 from selfsim.tree import (
-    Context, FoldSystem, NotAbelian, Permutation, ShapeMismatch, System,
+    Context, DepthExceeded, FoldSystem, NotAbelian, Permutation, ShapeMismatch, System,
     adding_machine,
 )
 
@@ -131,6 +132,20 @@ def test_closure_overflow():
         state_closure([sys.gen("g")], max_states=5)
 
 
+def test_closure_dedupe_guard(monkeypatch):
+    # a key finer than the portrait (the raw exponent word) lets two equal
+    # states in; the guard is an exception, so it holds under python -O
+    ctx = Context(2, K=8, D=8, L=8)
+    a = adding_machine(ctx)
+    fold_key = closure._fold_key
+    monkeypatch.setattr(closure, "_fold_key",
+                        lambda system, word, depth:
+                        (fold_key(system, word, depth), word))
+    twin = a.pow_series("3 - x")    # 2 - x kills a, so this equals a
+    with pytest.raises(DedupeCollision):
+        state_closure([a, twin])
+
+
 def test_closure_json_shape():
     ctx, sys, a = example_m4()
     obj = state_closure([a]).to_json()
@@ -231,6 +246,23 @@ def test_order_to_depth_odometer():
     for l in (1, 2, 5, 8):
         assert order_to_depth(a, l) == 2 ** l
     assert order_to_depth(a.system.identity(), 4) == 1
+
+
+def test_order_to_depth_past_the_old_enumeration_limit():
+    # the m=3 odometer at depth 14 acts on 3^14 > 2,000,000 vertices
+    ctx = Context(3, K=14, D=14, L=14)
+    a = adding_machine(ctx)
+    assert order_to_depth(a, 14) == 3 ** 14
+    assert order_to_depth(a * a.diagonal(1), 14) == 3 ** 14
+    assert order_to_depth(a ** 3, 14) == 3 ** 13
+
+
+def test_order_to_depth_guards():
+    a = adding_machine(Context(2, K=6, D=6, L=6))
+    with pytest.raises(DepthExceeded):
+        order_to_depth(a, 0)
+    with pytest.raises(DepthExceeded):
+        order_to_depth(a, 7)
 
 
 def test_order_to_depth_rooted():

@@ -300,6 +300,36 @@ def test_exit_depth_exceeded(tmp_path, capsys):
     assert "exceeds truncation" in err
 
 
+def test_exit_depth_below_one(tmp_path, capsys):
+    script = write_script(tmp_path, "context m=2 L=0\ngen a = (e, a) (1 2)\n"
+                          "portrait a\n")
+    code, _, err = run_cli(["run", script], capsys)
+    assert code == 3
+    assert ":1:" in err and "L >= 1" in err
+    script = write_script(tmp_path, "context m=2\ngen a = (e, a) (1 2)\n"
+                          "order a L=0\n")
+    code, _, err = run_cli(["run", script], capsys)
+    assert code == 3
+    assert ":3:" in err and "at least 1" in err
+
+
+def test_exit_conjugate_depth_reports_requested_depth(tmp_path, capsys):
+    script = write_script(tmp_path, "context m=2 L=8\ngen a = (e, a) (1 2)\n"
+                          "conjugate a j=1 L=20\n")
+    code, _, err = run_cli(["run", script], capsys)
+    assert code == 3
+    assert "depth 20 exceeds truncation 8" in err
+
+
+def test_order_has_no_enumeration_limit(tmp_path, capsys):
+    # 3^14 vertices on the last level: past what enumeration could afford
+    script = write_script(tmp_path, "context m=3 K=14 D=14 L=14\n"
+                          "gen a = (e, e, a) (1 2 3)\norder a L=14\n")
+    code, out, _ = run_cli(["run", script], capsys)
+    assert code == 0
+    assert rows_of(out)[0]["order"] == 3 ** 14
+
+
 def test_exit_math_errors(tmp_path, capsys):
     script = write_script(tmp_path, "\n".join([
         "context m=3",

@@ -7,11 +7,13 @@ import pytest
 from selfsim.adic import NonUnit, PowerSeries
 from selfsim.intlin import hnf, lattice_index, left_kernel, solve_left
 from selfsim.tree import (
-    Context, FoldSystem, Permutation, System, ShapeMismatch, adding_machine,
+    AutExpr, Context, DepthExceeded, FoldSystem, Permutation, System,
+    ShapeMismatch, adding_machine,
 )
 from selfsim.tree import _identity_portrait
 from selfsim.endo import (
-    FgAbelianGroup, NonUnitSum, SelfSimilarMachine, Transversal, VirtualEndo,
+    FgAbelianGroup, NonUnitSum, SelfSimilarMachine, StageRootDrift,
+    Transversal, VirtualEndo,
     coset_permutation, closed_form_conjugator, closed_form_sequences, phi_rep,
     adding_machine_conjugator, transversal_change, transversal_conjugator,
     triple_from_json,
@@ -355,3 +357,25 @@ def test_conjugator_errors():
         adding_machine_conjugator(beta, 0)
     with pytest.raises(ShapeMismatch):
         closed_form_conjugator(adding_machine(Context(3, K=8, D=8, L=8), 1))
+
+
+def test_conjugator_depth_guards():
+    beta = binary_series_beta()   # context depth L = 10
+    for conjugate in (lambda d: adding_machine_conjugator(beta, 1, depth=d),
+                      lambda d: closed_form_conjugator(beta, depth=d)):
+        with pytest.raises(DepthExceeded,
+                           match="^depth 22 exceeds truncation 10$"):
+            conjugate(22)
+        with pytest.raises(DepthExceeded):
+            conjugate(0)
+
+
+def test_conjugator_stage_root_guard(monkeypatch):
+    # a stage root off the base cycle means the corecursion diverged; the
+    # guard is an exception, so it holds under python -O
+    beta = adding_machine(Context(3, K=6, D=6, L=6))
+    decompose = AutExpr.decompose
+    monkeypatch.setattr(AutExpr, "decompose", lambda self: (
+        Permutation.identity(3), decompose(self)[1]))
+    with pytest.raises(StageRootDrift):
+        adding_machine_conjugator(beta, 1)

@@ -398,6 +398,20 @@ def test_context_validation():
         ctx.series(PowerSeries(other.mod, other.D, [1]))
 
 
+def test_depth_below_one_is_rejected():
+    with pytest.raises(ContextError):
+        Context(2, K=8, D=8, L=0)
+    a = adding_machine(Context(2, K=6, D=6, L=6))
+    for depth in (0, -1):
+        with pytest.raises(DepthExceeded):
+            a.portrait(depth)
+
+
+def test_permutation_order_counts_fixed_points_as_one():
+    assert Permutation.identity(5).order() == 1
+    assert Permutation.from_cycles("(1 2)(3 4 5)", 6).order() == 6
+
+
 def test_portrait_depth_guard():
     ctx = Context(2, K=6, D=6, L=6)
     a = adding_machine(ctx)
