@@ -9,16 +9,16 @@ pure carry arithmetic with no tree code involved.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfsim.adic import PowerSeries, parse_series, reduce_mod_r
 from selfsim import closure
+from selfsim.adic import PowerSeries, parse_series, reduce_mod_r
 from selfsim.closure import (
-    DedupeCollision, PermSolveFail, SaturationOverflow, ZetaUnbounded, annihilator_check,
-    as_machine, extract_relations, order_to_depth, peel, restrict_to_orbit,
-    state_closure, zeta,
+    DedupeCollision, PermSolveFail, SaturationOverflow, ZetaUnbounded,
+    annihilator_check, as_machine, extract_relations, order_to_depth, peel,
+    restrict_to_orbit, state_closure, zeta,
 )
 from selfsim.tree import (
-    Context, DepthExceeded, FoldSystem, NotAbelian, Permutation, ShapeMismatch, System,
-    adding_machine,
+    Context, DepthExceeded, FoldSystem, NotAbelian, Permutation,
+    ShapeMismatch, System, adding_machine,
 )
 
 
