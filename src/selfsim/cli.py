@@ -22,7 +22,8 @@ diagonal shift (``a@2``).  ``e`` is the identity.
 
 Exit codes: 0 success, 1 a verification check failed, 2 parse or name
 errors, 3 context errors (arity or depth bounds), 4 arithmetic errors.
-The SELFSIM_CACHE environment variable bounds per-system caches.
+The SELFSIM_CACHE environment variable, a positive integer, bounds
+per-system caches.
 """
 
 import argparse
@@ -278,6 +279,19 @@ def _parse_gen(p):
 
 
 _CONTEXT_KEYS = ("m", "K", "D", "L")
+# suite names are names that may also contain inner hyphens
+_SUITE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*(?:-[A-Za-z_0-9]+)*)")
+
+
+def _parse_verify(line, text, pos):
+    hit = _SUITE_RE.match(text, pos)
+    rest = text[hit.end() if hit else pos:]
+    if hit is None or rest.strip():
+        col = len(text) - len(rest.lstrip()) + 1
+        raise CliParseError(line, col, "unexpected input after the suite name"
+                            if hit else "expected a suite name")
+    return {"kind": "command", "cmd": "verify", "line": line,
+            "suite": hit.group(1)}
 
 
 def parse_statement(line, text):
@@ -296,6 +310,8 @@ def parse_statement(line, text):
             raise CliParseError(line, len(text) + 1, "expected a file path")
         return {"kind": "command", "cmd": "represent", "line": line,
                 "path": path}
+    if head == "verify":
+        return _parse_verify(line, text, head_match.end())
     tokens = _tokenize(text, line)
     p = _LineParser(tokens, line, len(text))
     p.next()  # the head name
@@ -344,12 +360,6 @@ def parse_statement(line, text):
             p.error("conjugate needs j=<shift>")
         return {"kind": "command", "cmd": "conjugate", "line": line,
                 "name": name, "kv": kv}
-    if head == "verify":
-        suite = p.expect("name", what="a suite name").value
-        if not p.done():
-            p.error("unexpected input after the suite name")
-        return {"kind": "command", "cmd": "verify", "line": line,
-                "suite": suite}
     raise CliParseError(line, head_match.start(1) + 1,
                         "unknown statement %r" % head)
 
@@ -891,6 +901,9 @@ def _run_verify(args, out, err):
     except KeyError as exc:
         print("selfsim: %s" % exc.args[0], file=err)
         return EXIT_PARSE
+    except ContextError as exc:
+        print("selfsim: %s" % exc, file=err)
+        return EXIT_CONTEXT
     row = {"command": "verify", **report}
     if args.pretty:
         for line in _pretty_lines(row):

@@ -17,7 +17,7 @@ the determinant relator of the resulting presentation matrix.
 
 import itertools
 
-from .adic import PowerSeries, reduce_mod_r
+from .adic import PowerSeries
 from .tree import (
     AutExpr, Context, DepthExceeded, NotAbelian, Permutation, ShapeMismatch,
     System,
@@ -52,7 +52,7 @@ class ZetaUnbounded(ArithmeticError):
 
 def _fold_key(system, word, depth):
     coeffs = word[0][1] if word else (0,) * (system.ctx.D + 1)
-    return tuple(reduce_mod_r(coeffs, system.annihilator()).digits[:depth])
+    return system.exponent_digits(coeffs, depth)
 
 
 def _state_key(system, expr, depth):
@@ -190,7 +190,6 @@ def _fold_recurrence_witness(system, generators, states, depth):
     m = ctx.m
     width = ctx.D + 1
     zero = (0,) * width
-    r = system.annihilator()
     qsum = system._qsum
     probe = max(1, depth - 1)
 
@@ -199,7 +198,7 @@ def _fold_recurrence_witness(system, generators, states, depth):
         return word[0][1] if word else zero
 
     def key(coeffs):
-        return reduce_mod_r(coeffs, r).digits[:probe]
+        return system.exponent_digits(coeffs, probe)
 
     unmatched = {key(exp_of(g)) for g in generators}
     pool = [exp_of(s) for s in states]
@@ -426,11 +425,15 @@ def peel(target, basis, depth=None):
     """Write target as a product of basis elements with series exponents.
 
     Returns one power series per basis element such that the product of
-    basis[i] ** q[i] equals target to the requested depth.  Works layer by
-    layer: solve the root permutation in the span of the basis roots,
-    divide, and desuspend the stabilized remainder.  Raises PermSolveFail
-    when a root is outside the span and NotAbelian when the system carries
-    no abelianness certificate or a remainder is not a diagonal.
+    basis[i] ** q[i] equals target to the requested depth.  Only the
+    coefficients below degree `depth` are determined: a depth-d portrait
+    cannot see an exponent's digit at degree d or above, so those
+    coefficients may differ from the canonical digits of reduce_mod_r.
+    Works layer by layer: solve the root permutation in the span of the
+    basis roots, divide, and desuspend the stabilized remainder.  Raises
+    PermSolveFail when a root is outside the span and NotAbelian when the
+    system carries no abelianness certificate or a remainder is not a
+    diagonal.
     """
     system = target.system
     ctx = system.ctx

@@ -25,7 +25,7 @@ import os
 import re
 from math import lcm
 
-from .adic import MAdicInt, Modulus, PowerSeries
+from .adic import MAdicInt, Modulus, PowerSeries, reduce_digits, relator_parts
 
 
 class ContextError(ValueError):
@@ -186,12 +186,29 @@ def _perm_tuple_pow(tup, n):
 
 # ----------------------------------------------------------------- context
 
+def _env_cache_cap():
+    """The cache bound from SELFSIM_CACHE, which must be a positive integer."""
+    text = os.environ.get("SELFSIM_CACHE")
+    if text is None:
+        return DEFAULT_CACHE
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ContextError(
+            "SELFSIM_CACHE must be a positive integer, got %r" % text)
+    return cap
+
+
 class Context(object):
     """Shared truncation context: base m, K digits, degree D, depth L."""
 
     __slots__ = ("m", "K", "D", "L", "mod", "cache_cap")
 
     def __init__(self, m, K=8, D=8, L=8, cache_cap=None):
+        if m < 2:
+            raise ContextError("base must be at least 2")
         if L < 1:
             raise ContextError("need depth L >= 1")
         if K < L or D < L:
@@ -201,9 +218,7 @@ class Context(object):
         self.D = D
         self.L = L
         self.mod = Modulus(m, K)
-        if cache_cap is None:
-            cache_cap = int(os.environ.get("SELFSIM_CACHE", DEFAULT_CACHE))
-        self.cache_cap = cache_cap
+        self.cache_cap = _env_cache_cap() if cache_cap is None else cache_cap
 
     def series(self, q):
         """Coerce q (series, scalar, int, or literal text) to a context series."""
@@ -1041,6 +1056,9 @@ class FoldSystem(System):
             for d, c in enumerate(lifts):
                 qsum[d] += c
         self._qsum = tuple(v % ctx.mod.mK for v in qsum)
+        self._annihilator = PowerSeries(
+            ctx.mod, ctx.D, [ctx.m] + [-v for v in self._qsum[:ctx.D]])
+        self._relator = None   # (q lifts, j) of the annihilator, on first use
         entry_words = []
         for lifts in self._plifts:
             entry_words.append(
@@ -1057,11 +1075,43 @@ class FoldSystem(System):
 
     def annihilator(self):
         """The series m - x*(p_1+...+p_m), which kills the generator."""
-        coeffs = [self.ctx.m] + [-v for v in self._qsum[:self.ctx.D]]
-        return PowerSeries(self.ctx.mod, self.ctx.D, coeffs)
+        return self._annihilator
+
+    def exponent_digits(self, coeffs, n):
+        """The first n canonical digits of an exponent modulo the annihilator.
+
+        coeffs are integers indexed by degree, signed or unreduced.  Equal
+        to reduce_mod_r(coeffs, self.annihilator()).digits[:n]: carries
+        only move to higher degrees, so the first n digits depend on the
+        first n coefficients alone.
+        """
+        if self._relator is None:
+            # split once; relator_parts rejects K = 1, where m is 0 mod m^K
+            q, j = relator_parts(self._annihilator)
+            self._relator = (q.lifts(), j)
+        qlifts, j = self._relator
+        n = min(n, self.ctx.D + 1)
+        return tuple(reduce_digits(coeffs[:n], self.ctx.m, qlifts, j, n - 1))
 
     def _const_decompose(self, name, n):
         raise AssertionError("fold systems decompose atoms directly")
+
+    # A normalized fold word is empty or one atom, whose decomposition
+    # _atom_decompose already returns in canonical form; only other words
+    # take the generic path.
+
+    def _normalize(self, word):
+        if len(word) == 1:
+            name, coeffs = word[0]
+            coeffs = self._canon_coeffs(coeffs)
+            return ((name, coeffs),) if any(coeffs) else ()
+        return super()._normalize(word)
+
+    def _word_decompose(self, word):
+        word = self._normalize(word)
+        if len(word) == 1:
+            return self._atom_decompose(word[0])
+        return super()._word_decompose(word)
 
     def _atom_decompose(self, atom):
         hit = self._atom_memo.get(atom)

@@ -57,6 +57,27 @@ def test_peel_matches_digit_expansion_property(n, shape):
     assert q.lifts()[:ctx.L] == want.digits[:ctx.L]
 
 
+def test_peel_determines_digits_below_depth_only():
+    # fold-family draws whose canonical digit at degree D = L = 8 is
+    # nonzero, which a depth-8 portrait cannot see: peel agrees with
+    # reduce_mod_r on the first 8 digits only
+    draws = (
+        (2, [[2, 0], [2, -1]], "(1 2)", -16, 1),
+        (2, [[-1, -3, -1, 2], [-1, 3, -1, -3]], "(1 2)", 5, 1),
+        (4, [[-1, -3, 0, -3], [-1, 1, 3, 0], [-1, -3, 1, 0], [3, 3, -3, 2]],
+         "(1 2 3 4)", 64, 2),
+    )
+    for m, exps, sigma, n, top in draws:
+        ctx = Context(m, K=9, D=8, L=8)
+        sys = FoldSystem(ctx, "g", [PowerSeries(ctx.mod, ctx.D, e)
+                                    for e in exps], sigma)
+        g = sys.generator()
+        (q,) = peel(g ** n, [g])
+        want = reduce_mod_r(n, sys.annihilator()).digits
+        assert q.lifts()[:ctx.L] == want[:ctx.L], (m, exps, n)
+        assert want[ctx.L] == top
+
+
 def test_peel_series_exponent_roundtrip():
     ctx, sys, a = example_m4()
     target = a.pow_series("3 + 2x + x^3")

@@ -291,6 +291,26 @@ def test_exit_context_errors(tmp_path, capsys):
     assert "no context declared" in err
 
 
+def test_exit_base_below_two(tmp_path, capsys):
+    script = write_script(tmp_path, "context m=1\n")
+    code, _, err = run_cli(["run", script], capsys)
+    assert code == 3
+    assert "base must be at least 2" in err
+
+
+def test_exit_cache_bound_not_a_positive_integer(tmp_path, capsys,
+                                                 monkeypatch):
+    script = write_script(tmp_path, "context m=2\ngen a = (e, a) (1 2)\n")
+    for value in ("abc", "0"):
+        monkeypatch.setenv("SELFSIM_CACHE", value)
+        code, _, err = run_cli(["run", script], capsys)
+        assert code == 3
+        assert "SELFSIM_CACHE must be a positive integer" in err
+    code, _, err = run_cli(["verify", "odometer"], capsys)
+    assert code == 3
+    assert "SELFSIM_CACHE must be a positive integer" in err
+
+
 def test_exit_depth_exceeded(tmp_path, capsys):
     script = write_script(tmp_path,
                           "context m=2 L=4\ngen a = (e, a) (1 2)\n"
@@ -429,3 +449,25 @@ def test_verify_inside_script_failure(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["run", script], capsys)
     assert code == 1
     assert rows_of(out)[0]["pass"] is False
+
+
+def test_verify_hyphenated_suite_inside_script(tmp_path, capsys, monkeypatch):
+    ran = []
+
+    def fake(name):
+        ran.append(name)
+        return {"suite": name, "pass": True, "criteria": []}
+    monkeypatch.setattr(suites, "run_suite", fake)
+    text = "verify series-conjugation  # a hyphenated suite name\n"
+    (stmt,) = parse_script(text)
+    assert stmt["suite"] == "series-conjugation"
+    assert format_statement(stmt) == "verify series-conjugation"
+    code, out, _ = run_cli(["run", write_script(tmp_path, text)], capsys)
+    assert code == 0
+    assert ran == ["series-conjugation"]
+    assert rows_of(out)[0]["suite"] == "series-conjugation"
+    for bad, col in (("verify series-", 14), ("verify -x", 8),
+                     ("verify ring x", 13)):
+        with pytest.raises(CliParseError) as info:
+            parse_statement(1, bad)
+        assert info.value.col == col
