@@ -19,15 +19,14 @@ import itertools
 
 from .adic import PowerSeries
 from .tree import (
-    AutExpr, Context, DepthExceeded, NotAbelian, Permutation, ShapeMismatch,
-    System,
+    AutExpr, Context, NotAbelian, Permutation, Portrait, ShapeMismatch, System,
+    rooted_portrait,
 )
 
 ENUM_CAP = 10000
 PAIRWISE_CAP = 24
 WITNESS_CAP = 400
 WITNESS_SCAN_BUDGET = 20000
-CERT_LEVEL_CAP = 3000000
 
 
 class SaturationOverflow(ArithmeticError):
@@ -128,37 +127,100 @@ def _root_orbits(roots, m):
     return tuple(orbits)
 
 
+def _portrait_power(node, e):
+    """node ** e for e >= 1, by repeated squaring with the memoized product."""
+    result = None
+    while True:
+        if e & 1:
+            result = node if result is None else result._mul(node)
+        e >>= 1
+        if not e:
+            return result
+        node = node._mul(node)
+
+
+def _products_equal(p, q, r, s, memo):
+    """Whether p*q == r*s, compared node by node without building either.
+
+    The roots must agree, and then the children (p*q)_y = p_y * q_(y)p and
+    (r*s)_y = r_y * s_(y)r.  memo is keyed on node ids, so the caller must
+    keep every compared node alive while memo is in use.
+    """
+    if p is r and q is s:
+        return True
+    key = (id(p), id(q), id(r), id(s))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    pi, qi, ri, si = p.root.images, q.root.images, r.root.images, s.root.images
+    ok = all(qi[pi[y] - 1] == si[ri[y] - 1] for y in range(len(pi)))
+    if ok and p.children:
+        ok = all(_products_equal(p.children[y], q.children[pi[y] - 1],
+                                 r.children[y], s.children[ri[y] - 1], memo)
+                 for y in range(len(pi)))
+    memo[key] = ok
+    return ok
+
+
+def _commutes(a, b):
+    """Whether the portraits a and b commute, without building a*b or b*a.
+
+    Every node compared is a descendant of a or b, so the ids in the local
+    memo stay valid; nothing is interned, so the global tables do not grow
+    with products that would be thrown away.
+    """
+    return _products_equal(a, b, b, a, {})
+
+
+def _level_portrait(system, levels):
+    """The fold generator's level-s portrait, s = len(levels).
+
+    levels[l] is the level-l portrait for 1 <= l < s (levels[0] is unused).
+    This is the digit recursion of FoldSystem.level_perm_fast on portrait
+    nodes: the root is sigma, and the child at letter y is the product, in
+    increasing degree d, of the level-(s-1-d) portrait raised to
+    p_y[d] mod m^(s-1-d) and suspended d levels.
+    """
+    s = len(levels)
+    if s == 1:
+        return Portrait.make(system.sigma, ())
+    m = system.ctx.m
+    kids = []
+    for lifts in system._plifts:
+        kid = None
+        for d, p in enumerate(lifts[:s - 1]):
+            sub = s - 1 - d
+            e = p % m ** sub
+            if e:
+                factor = _portrait_power(levels[sub], e).suspended(d)
+                kid = factor if kid is None else kid._mul(factor)
+        if kid is None:
+            kid = rooted_portrait(Permutation.identity(m), s - 1)
+        kids.append(kid)
+    return Portrait.make(system.sigma, tuple(kids))
+
+
 def _fold_abelian_depth(system, depth):
     """Certify a single-generator recursion abelian levelwise.
 
     Every closure element is a product of diagonal copies of the generator,
     so the level-s image of the closure is generated by the block-diagonal
-    embeddings of the generator's own level permutations.  Those come from
-    the digit recursion, which composes factors strictly in definition
-    order; their pairwise commutation therefore certifies both the abelian
-    claim and the engine's exponent merging to depth s without assuming
-    either.  Returns the largest certified depth <= depth; the per-level
-    cost is about s * m^s, so levels past CERT_LEVEL_CAP work are skipped
-    and the reported depth is what was actually verified.
+    embeddings (suspensions) of the generator's own level portraits.
+    Those come from the digit recursion (_level_portrait), which composes
+    factors strictly in definition order and never calls the fold engine;
+    their pairwise commutation therefore certifies both the abelian claim
+    and the engine's exponent merging to depth s without assuming either.
+    The cost follows the distinct portrait nodes, not the m^s vertices.
+    Returns the largest s <= depth such that every level up to s passes.
     """
-    m = system.ctx.m
-    perms = [None]
-    best = 0
+    levels = [None]
     for s in range(1, depth + 1):
-        if (s - 1) * m ** s > CERT_LEVEL_CAP:
-            break
-        perms.append(tuple(i - 1 for i in system.level_perm_fast(s).images))
-        top = perms[s]
-        n = m ** s
-        for t in range(1, s):
-            block = m ** (s - t)
-            sub = perms[s - t]
-            emb = tuple((i // block) * block + sub[i % block]
-                        for i in range(n))
-            if any(emb[top[i]] != top[emb[i]] for i in range(n)):
-                return best
-        best = s
-    return best
+        top = _level_portrait(system, levels)
+        levels.append(top)
+        if not all(_commutes(top, levels[s - t].suspended(t))
+                   for t in range(1, s)):
+            return s - 1
+    return depth
 
 
 def _abelian_depth(system, states, depth):
@@ -261,9 +323,7 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
     for g in generators:
         if g.system is not system:
             raise ValueError("generators belong to different systems")
-    depth = ctx.L if depth is None else depth
-    if depth > ctx.L:
-        raise DepthExceeded("closure depth %d exceeds truncation %d" % (depth, ctx.L))
+    depth = ctx.depth(depth)
 
     states = []
     table = {}

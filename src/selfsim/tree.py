@@ -589,10 +589,7 @@ class AutExpr(object):
         return self.system._portrait(self.word, self.system.ctx.depth(depth))
 
     def is_identity(self, depth=None):
-        depth = self.system.ctx.L if depth is None else depth
-        if depth > self.system.ctx.L:
-            raise DepthExceeded("depth %d exceeds truncation %d" % (depth, self.system.ctx.L))
-        return self.system._is_identity(self.word, depth)
+        return self.system._is_identity(self.word, self.system.ctx.depth(depth))
 
     def equal_to_depth(self, other, depth=None):
         """Portrait equality to the given depth (never full equality)."""
@@ -1118,6 +1115,8 @@ class FoldSystem(System):
         if hit is not None:
             return hit
         name, coeffs = atom
+        if name != self.name:
+            raise KeyError("undefined generator %r" % name)
         m = self.ctx.m
         mK = self.ctx.mod.mK
         v = coeffs[0]

@@ -286,6 +286,13 @@ def test_order_to_depth_guards():
         order_to_depth(a, 7)
 
 
+def test_closure_depth_guards():
+    a = adding_machine(Context(2, K=6, D=6, L=6))
+    for depth in (0, -1, 7):
+        with pytest.raises(DepthExceeded):
+            state_closure([a], depth=depth)
+
+
 def test_order_to_depth_rooted():
     ctx = Context(3, K=6, D=6, L=6)
     sys = System(ctx)

@@ -405,6 +405,19 @@ def test_depth_below_one_is_rejected():
     for depth in (0, -1):
         with pytest.raises(DepthExceeded):
             a.portrait(depth)
+        with pytest.raises(DepthExceeded):
+            a.is_identity(depth)
+        with pytest.raises(DepthExceeded):
+            a.equal_to_depth(a * a, depth)
+
+
+def test_fold_system_rejects_other_generator_names():
+    sys = FoldSystem(Context(2, K=4, D=4, L=4), "g", [0, 1], "(1 2)")
+    g, b = sys.generator(), sys.gen("b")
+    assert g.portrait(3).root == Permutation.from_cycles("(1 2)", 2)
+    for word in (b, b * g, g * b ** 2):
+        with pytest.raises(KeyError, match="undefined generator 'b'"):
+            word.portrait(3)
 
 
 def test_permutation_order_counts_fixed_points_as_one():
