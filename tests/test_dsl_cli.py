@@ -326,11 +326,12 @@ def test_exit_depth_below_one(tmp_path, capsys):
     code, _, err = run_cli(["run", script], capsys)
     assert code == 3
     assert ":1:" in err and "L >= 1" in err
-    script = write_script(tmp_path, "context m=2\ngen a = (e, a) (1 2)\n"
-                          "order a L=0\n")
-    code, _, err = run_cli(["run", script], capsys)
-    assert code == 3
-    assert ":3:" in err and "at least 1" in err
+    for stmt in ("order a L=0", "present a depth=0", "closure a depth=0"):
+        script = write_script(tmp_path, "context m=2\ngen a = (e, a) (1 2)\n"
+                              + stmt + "\n")
+        code, out, err = run_cli(["run", script], capsys)
+        assert code == 3, stmt
+        assert not out and ":3:" in err and "at least 1" in err
 
 
 def test_exit_conjugate_depth_reports_requested_depth(tmp_path, capsys):

@@ -10,10 +10,13 @@ each diagonal copy embedded block by block.
 import pytest
 from hypothesis import given, settings
 
+from selfsim.adic import PowerSeries
 from selfsim.closure import (
     _commutes, _fold_abelian_depth, _level_portrait, state_closure,
 )
-from selfsim.tree import Context, Permutation, adding_machine, rooted_portrait
+from selfsim.tree import (
+    Context, FoldSystem, Permutation, adding_machine, rooted_portrait,
+)
 
 from test_fold_keys import fold_systems
 from test_portrait_algebra import PAIRS, grigorchuk
@@ -53,6 +56,23 @@ def test_level_portraits_match_level_perm_fast(system):
         levels.append(_level_portrait(system, levels))
         assert levels[l].depth == l
         assert levels[l].level_perm(l) == system.level_perm_fast(l)
+
+
+def test_level_portrait_composes_in_increasing_degree():
+    # the real lower levels commute with each other's suspensions, which
+    # hides the order of the factors; stand-ins that do not commute show it
+    ctx = Context(3, K=3, D=3, L=3)
+    system = FoldSystem(ctx, "g", [PowerSeries(ctx.mod, ctx.D, [1, 1]), 0, 0],
+                        "(1 2 3)")
+    s12 = rooted_portrait(Permutation.from_cycles("(1 2)", 3), 1)
+    s23 = rooted_portrait(Permutation.from_cycles("(2 3)", 3), 1)
+    lower = [None, s23, s12.suspended(1)]
+    top = _level_portrait(system, lower)
+    # p_1 = 1 + x: the level-2 factor (degree 0), then the level-1 one
+    # suspended once (degree 1)
+    assert top.children[0] == lower[2] * s23.suspended(1)
+    assert top.children[0] != s23.suspended(1) * lower[2]
+    assert top.children[1].is_identity() and top.children[2].is_identity()
 
 
 @settings(max_examples=80, deadline=None)
