@@ -4,16 +4,13 @@ automorphisms of the one-rooted m-ary tree."""
 from .adic import (
     AllDivisible, ContextMismatch, MAdicInt, Modulus, NonUnit, PowerSeries,
     QuotientElement, congruence_exponent, format_series, idempotents,
-    madic_add, madic_invert, madic_mul, madic_neg, parse_series,
-    pro_m_generators, reduce_mod_r, relator_parts, series_add, series_invert,
-    series_mul, series_to_json, series_from_json, unit_decompose,
+    parse_series, pro_m_generators, reduce_mod_r, relator_parts,
+    series_to_json, series_from_json, unit_decompose,
 )
 from .tree import (
     AutExpr, Context, ContextError, DepthExceeded, ExponentNotStabilized,
     FoldSystem, GeneratorDef, NotAbelian, Permutation, Portrait,
-    ShapeMismatch, System, act, adding_machine, commutator, diagonal,
-    equal_to_depth, invert, level_perm_fast, multiply, portrait, pow_series,
-    rooted_portrait, state,
+    ShapeMismatch, System, adding_machine, level_perm_fast, rooted_portrait,
 )
 from .closure import (
     ClosureReport, DedupeCollision, PermSolveFail, RelationPresentation,

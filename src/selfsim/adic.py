@@ -164,26 +164,6 @@ def _coerce(mod, v):
     raise TypeError("cannot interpret %r as an m-adic integer" % (v,))
 
 
-def madic_add(a, b):
-    """Add two m-adic integers."""
-    return a + b
-
-
-def madic_mul(a, b):
-    """Multiply two m-adic integers."""
-    return a * b
-
-
-def madic_neg(a):
-    """Negate an m-adic integer."""
-    return -a
-
-
-def madic_invert(a):
-    """Invert an m-adic integer; raises NonUnit for non-units."""
-    return a.invert()
-
-
 def idempotents(mod):
     """Return the orthogonal idempotents of Z/m^K, one per prime of m.
 
@@ -312,21 +292,6 @@ class PowerSeries(object):
     def __repr__(self):
         return "PowerSeries(%s; m=%d, K=%d, D=%d)" % (
             format_series(self), self.mod.m, self.mod.K, self.D)
-
-
-def series_add(a, b):
-    """Add two power series."""
-    return a + b
-
-
-def series_mul(a, b):
-    """Multiply two power series, truncated at the degree bound."""
-    return a * b
-
-
-def series_invert(a):
-    """Invert a power series; raises NonUnit without a unit constant term."""
-    return a.invert()
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?(x)(?:\^(\d+))?$|^(\d+)$")
@@ -492,13 +457,13 @@ def reduce_digits(coeffs, m, qlifts, j, D):
     (truncation, not an error).
     """
     c = list(coeffs[:D + 1]) + [0] * (D + 1 - len(coeffs))
+    # (offset, q_s) for the nonzero q terms a carry can reach, offsets rising
+    terms = [(j + s, qs) for s, qs in enumerate(qlifts) if qs and j + s <= D]
     for t in range(D + 1):
-        a = c[t] % m
-        b = (c[t] - a) // m
-        c[t] = a
+        b, c[t] = divmod(c[t], m)
         if b:
-            for s, qs in enumerate(qlifts):
-                idx = t + j + s
+            for offset, qs in terms:
+                idx = t + offset
                 if idx > D:
                     break
                 c[idx] += b * qs

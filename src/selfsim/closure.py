@@ -49,15 +49,39 @@ class ZetaUnbounded(ArithmeticError):
 
 # ------------------------------------------------------------- saturation
 
-def _fold_key(system, word, depth):
-    coeffs = word[0][1] if word else (0,) * (system.ctx.D + 1)
+def _fold_key(system, coeffs, depth):
     return system.exponent_digits(coeffs, depth)
 
 
 def _state_key(system, expr, depth):
     if system.foldable:
-        return _fold_key(system, system._normalize(expr.word), depth)
+        return _fold_key(system, system._exponent(expr.word), depth)
     return expr.portrait(depth)
+
+
+def _walk(seeds, children, key, max_states, overflow):
+    """Breadth-first saturation: one item per key, in discovery order.
+
+    The seeds are visited first, in order, then children(item) of every
+    kept item in turn; an item whose key was seen before is dropped.
+    Raises SaturationOverflow(overflow) on a key past max_states.
+    """
+    kept = []
+    seen = set()
+    batch = seeds
+    expanded = 0
+    while True:
+        for item in batch:
+            k = key(item)
+            if k not in seen:
+                if len(seen) >= max_states:
+                    raise SaturationOverflow(overflow)
+                seen.add(k)
+                kept.append(item)
+        if expanded == len(kept):
+            return kept
+        batch = children(kept[expanded])
+        expanded += 1
 
 
 class ClosureReport(object):
@@ -240,30 +264,24 @@ def _abelian_depth(system, states, depth):
     return best
 
 
-def _fold_recurrence_witness(system, generators, states, depth):
+def _fold_recurrence_witness(system, generators, exponents, depth):
     """Ring-arithmetic witness search for single-recursion systems.
 
     A word with exponent series w fixes the first letter exactly when the
     constant term is divisible by m, and its state there has exponent
-    qsum * (w(0) / m) + (w - w(0)) / x.  Candidates are the states and
-    their pairwise sums, compared by reduced digit prefix.
+    qsum * (w(0) / m) + (w - w(0)) / x.  Candidates are the states'
+    exponents, their negatives and their pairwise sums, compared by
+    reduced digit prefix.
     """
-    ctx = system.ctx
-    m = ctx.m
-    width = ctx.D + 1
-    zero = (0,) * width
+    m = system.ctx.m
     qsum = system._qsum
     probe = max(1, depth - 1)
-
-    def exp_of(expr):
-        word = system._normalize(expr.word)
-        return word[0][1] if word else zero
 
     def key(coeffs):
         return system.exponent_digits(coeffs, probe)
 
-    unmatched = {key(exp_of(g)) for g in generators}
-    pool = [exp_of(s) for s in states]
+    unmatched = {key(system._exponent(g.word)) for g in generators}
+    pool = list(exponents)
     pool += [tuple(-c for c in w) for w in pool]
     singles_then_sums = itertools.chain(
         pool, (tuple(x + y for x, y in zip(a, b))
@@ -284,8 +302,6 @@ def _recurrence_witness(system, generators, states, depth):
     generators = [g for g in generators if not g.is_identity(depth)]
     if not generators:
         return True
-    if system.foldable:
-        return _fold_recurrence_witness(system, generators, states, depth)
     candidates = []
     seen = set()
     pool = list(states) + [s.inverse() for s in states]
@@ -324,36 +340,25 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
         if g.system is not system:
             raise ValueError("generators belong to different systems")
     depth = ctx.depth(depth)
-
-    states = []
-    table = {}
-
-    def visit(expr):
-        key = _state_key(system, expr, depth)
-        if key in table:
-            return None
-        if len(table) >= max_states:
-            raise SaturationOverflow(
-                "more than %d states at depth %d" % (max_states, depth))
-        table[key] = expr
-        states.append(expr)
-        return expr
-
-    visit(system.identity())
-    frontier = []
-    for g in generators:
-        added = visit(g)
-        if added is not None:
-            frontier.append(added)
-    while frontier:
-        nxt = []
-        for expr in frontier:
-            _, kids = expr.decompose()
-            for child in kids:
-                added = visit(child)
-                if added is not None:
-                    nxt.append(added)
-        frontier = nxt
+    seeds = [system.identity()] + list(generators)
+    overflow = "more than %d states at depth %d" % (max_states, depth)
+    if system.foldable:
+        # walk (exponent, given expression) pairs; only the kept states
+        # become expressions, and a given one is kept as it was passed
+        name = system.name
+        kept = _walk(
+            [(system._exponent(g.word), g) for g in seeds],
+            lambda item: [(q, None)
+                          for q in system._exponent_children(item[0])[1]],
+            lambda item: _fold_key(system, item[0], depth),
+            max_states, overflow)
+        states = [g if g is not None else
+                  AutExpr(system, ((name, q),) if any(q) else ())
+                  for q, g in kept]
+    else:
+        states = _walk(seeds, lambda expr: expr.decompose()[1],
+                       lambda expr: _state_key(system, expr, depth),
+                       max_states, overflow)
 
     if system.foldable and len(states) <= 2 * PAIRWISE_CAP:
         # the digit-prefix keys promise pairwise distinctness; spot-check it
@@ -370,7 +375,11 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
         system.mark_abelian(abelian)
     nontrivial = sorted(
         (g for g in generators if not g.is_identity(depth)), key=repr)
-    recurrent = _recurrence_witness(system, nontrivial, states, depth)
+    if system.foldable:
+        recurrent = _fold_recurrence_witness(
+            system, nontrivial, [q for q, _ in kept], depth)
+    else:
+        recurrent = _recurrence_witness(system, nontrivial, states, depth)
     return ClosureReport(system, tuple(nontrivial), tuple(states), depth,
                          transitive, orbits, abelian, recurrent)
 
@@ -387,33 +396,22 @@ def as_machine(expr, depth=None, max_states=ENUM_CAP, prefix="q"):
     system = expr.system
     ctx = system.ctx
     depth = ctx.L if depth is None else depth
+
+    def key(e):
+        return _state_key(system, e, depth)
+
+    states = _walk(
+        [expr],
+        lambda e: [c for c in e.decompose()[1] if not c.is_identity(depth)],
+        key, max_states, "more than %d machine states" % max_states)
     machine = System(ctx)
-    names = {}
-    order = []
-
-    def visit(e):
-        key = _state_key(system, e, depth)
-        if key not in names:
-            if len(names) >= max_states:
-                raise SaturationOverflow("more than %d machine states" % max_states)
-            names[key] = "%s%d" % (prefix, len(names))
-            order.append((names[key], e))
-        return names[key]
-
-    visit(expr)
-    i = 0
-    while i < len(order):
-        name, e = order[i]
-        i += 1
+    names = {key(e): "%s%d" % (prefix, i) for i, e in enumerate(states)}
+    for e in states:
         root, kids = e.decompose()
-        entries = []
-        for child in kids:
-            if child.is_identity(depth):
-                entries.append("e")
-            else:
-                entries.append(machine.gen(visit(child)))
-        machine.define(name, root, entries)
-    return machine.gen(order[0][0])
+        machine.define(names[key(e)], root, [
+            "e" if c.is_identity(depth) else machine.gen(names[key(c)])
+            for c in kids])
+    return machine.gen(names[key(expr)])
 
 
 def restrict_to_orbit(expr, orbit, depth=None):

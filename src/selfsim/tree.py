@@ -612,51 +612,6 @@ class AutExpr(object):
         return " ".join(parts)
 
 
-def commutator(a, b):
-    """The commutator a^-1 b^-1 a b."""
-    return a.commutator(b)
-
-
-def multiply(a, b):
-    """Product of two expressions over the same system."""
-    return a * b
-
-
-def invert(a):
-    """Inverse of an expression."""
-    return a.inverse()
-
-
-def act(expr, u):
-    """Apply expr to the vertex word u; returns (image, residual state)."""
-    return expr.act(u)
-
-
-def state(expr, u):
-    """The state of expr below vertex u."""
-    return expr.state(u)
-
-
-def diagonal(expr, i):
-    """Diagonal embedding of expr at level i."""
-    return expr.diagonal(i)
-
-
-def pow_series(expr, q):
-    """expr raised to the series exponent q."""
-    return expr.pow_series(q)
-
-
-def portrait(expr, depth=None):
-    """Depth-bounded portrait of expr."""
-    return expr.portrait(depth)
-
-
-def equal_to_depth(a, b, depth=None):
-    """Portrait equality of two expressions to the given depth."""
-    return a.equal_to_depth(b, depth)
-
-
 # ----------------------------------------------------------------- systems
 
 class GeneratorDef(object):
@@ -1026,8 +981,11 @@ class FoldSystem(System):
     constant part v = c + m*xi (0 <= c < m) and tail Q', the decomposition
     is root s^c with the child at source y equal to g raised to
 
-        p_y + p_{(y)s} + ... + p_{(y)s^(c-1)}  +  (p_1+...+p_m)*xi  +  Q'.
+        P[c][y]  +  (p_1+...+p_m)*xi  +  Q',
 
+    where P[c][y] = p_y + p_{(y)s} + ... + p_{(y)s^(c-1)} is read from a
+    table of prefix sums along the cycle, built once at construction, so
+    each child is a single vector add (_exponent_children).
     The state-closure of such a generator is abelian, so exponents add;
     all coefficients live mod m^K and one digit of scalar precision is
     consumed per level, exactly matching the K >= L context rule.
@@ -1053,6 +1011,14 @@ class FoldSystem(System):
             for d, c in enumerate(lifts):
                 qsum[d] += c
         self._qsum = tuple(v % ctx.mod.mK for v in qsum)
+        prefix = [((0,) * (ctx.D + 1),) * ctx.m]
+        for c in range(1, ctx.m):
+            step = self._sigma_powers[c - 1]
+            prefix.append(tuple(
+                tuple(a + b for a, b in zip(
+                    prefix[-1][y - 1], self._plifts[step.apply(y) - 1]))
+                for y in range(1, ctx.m + 1)))
+        self._prefix = tuple(prefix)
         self._annihilator = PowerSeries(
             ctx.mod, ctx.D, [ctx.m] + [-v for v in self._qsum[:ctx.D]])
         self._relator = None   # (q lifts, j) of the annihilator, on first use
@@ -1105,10 +1071,34 @@ class FoldSystem(System):
         return super()._normalize(word)
 
     def _word_decompose(self, word):
+        if len(word) == 1:
+            hit = self._atom_memo.get(word[0])
+            if hit is not None:
+                return hit
         word = self._normalize(word)
         if len(word) == 1:
             return self._atom_decompose(word[0])
         return super()._word_decompose(word)
+
+    def _exponent(self, word):
+        """The exponent coefficients of a word (zeros for the identity)."""
+        word = self._normalize(word)
+        for name, _ in word:
+            if name != self.name:
+                raise KeyError("undefined generator %r" % name)
+        return word[0][1] if word else self._zero_coeffs()
+
+    def _exponent_children(self, coeffs):
+        """(c, child exponents) of g^coeffs: its root is sigma^c.
+
+        Unmemoized; the child at source y is (P[c][y] + qsum*xi + tail)
+        mod m^K, with v = c + m*xi the constant coefficient.
+        """
+        mK = self.ctx.mod.mK
+        xi, c = divmod(coeffs[0], self.ctx.m)
+        shift = [q * xi + t for q, t in zip(self._qsum, coeffs[1:] + (0,))]
+        return c, tuple([tuple([(p + s) % mK for p, s in zip(prefix, shift)])
+                         for prefix in self._prefix[c]])
 
     def _atom_decompose(self, atom):
         hit = self._atom_memo.get(atom)
@@ -1117,25 +1107,9 @@ class FoldSystem(System):
         name, coeffs = atom
         if name != self.name:
             raise KeyError("undefined generator %r" % name)
-        m = self.ctx.m
-        mK = self.ctx.mod.mK
-        v = coeffs[0]
-        c = v % m
-        xi = (v - c) // m
-        tail = coeffs[1:] + (0,)
-        children = []
-        for y in range(1, m + 1):
-            acc = [0] * len(coeffs)
-            z = y
-            for _ in range(c):
-                for d, p in enumerate(self._plifts[z - 1]):
-                    acc[d] += p
-                z = self.sigma.apply(z)
-            for d in range(len(coeffs)):
-                acc[d] = (acc[d] + self._qsum[d] * xi + tail[d]) % mK
-            word = ((name, tuple(acc)),) if any(acc) else ()
-            children.append(word)
-        result = (self._sigma_powers[c], tuple(children))
+        c, kids = self._exponent_children(coeffs)
+        result = (self._sigma_powers[c],
+                  tuple(((name, q),) if any(q) else () for q in kids))
         if len(self._atom_memo) > self.ctx.cache_cap:
             self._atom_memo.clear()
         self._atom_memo[atom] = result

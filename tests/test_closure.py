@@ -153,6 +153,19 @@ def test_closure_overflow():
         state_closure([sys.gen("g")], max_states=5)
 
 
+def test_fold_closure_guards():
+    # the fold walk reads exponents, not words: a generator of another name
+    # is still rejected, and saturation still stops at max_states
+    sys = FoldSystem(Context(2, K=4, D=4, L=4), "g", [0, 1], "(1 2)")
+    for gens in ([sys.gen("b")], [sys.generator(), sys.gen("b")]):
+        with pytest.raises(KeyError, match="undefined generator 'b'"):
+            state_closure(gens)
+    a = adding_machine(Context(2, K=8, D=8, L=8), j=3)   # e and 3 states
+    assert state_closure([a], max_states=4).state_count() == 4
+    with pytest.raises(SaturationOverflow, match="more than 3 states"):
+        state_closure([a], max_states=3)
+
+
 def test_closure_dedupe_guard(monkeypatch):
     # a key finer than the portrait (the raw exponent word) lets two equal
     # states in; the guard is an exception, so it holds under python -O
