@@ -1,11 +1,14 @@
 """State-closure analysis: saturation, restriction, peeling, relations.
 
 The state-closure of a set of tree automorphisms is everything reachable by
-repeatedly taking first-level states.  For a foldable single-generator
-system the states are powers of one generator and are deduplicated by the
-canonical digit expansion of their exponents modulo the annihilator (two
-exponents share a digit prefix below depth d exactly when the automorphisms
-agree to depth d); for anything else states are deduplicated by their
+repeatedly taking first-level states; one breadth-first walk (_walk) finds
+it.  For a foldable single-generator system the states are powers of one
+generator, so the walk runs on plain exponent coefficient tuples (children
+by FoldSystem._exponent_children) and an expression is built only for each
+state kept.  Those states are deduplicated by the canonical digit expansion
+of their exponents modulo the annihilator (two exponents share a digit
+prefix below depth d exactly when the automorphisms agree to depth d); for
+anything else the walk runs on expressions, deduplicated by their
 depth-bounded portraits, which are hash-consed and therefore cheap keys.
 
 Peeling writes an element of an abelian-verified closure as a product of
@@ -406,12 +409,12 @@ def as_machine(expr, depth=None, max_states=ENUM_CAP, prefix="q"):
         key, max_states, "more than %d machine states" % max_states)
     machine = System(ctx)
     names = {key(e): "%s%d" % (prefix, i) for i, e in enumerate(states)}
-    for e in states:
+    for name, e in zip(names.values(), states):
         root, kids = e.decompose()
-        machine.define(names[key(e)], root, [
+        machine.define(name, root, [
             "e" if c.is_identity(depth) else machine.gen(names[key(c)])
             for c in kids])
-    return machine.gen(names[key(expr)])
+    return machine.gen(prefix + "0")
 
 
 def restrict_to_orbit(expr, orbit, depth=None):
