@@ -346,18 +346,19 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
     seeds = [system.identity()] + list(generators)
     overflow = "more than %d states at depth %d" % (max_states, depth)
     if system.foldable:
-        # walk (exponent, given expression) pairs; only the kept states
-        # become expressions, and a given one is kept as it was passed
-        name = system.name
+        # walk exponent tuples; equal children of one state share a key
+        exponents = [system._exponent(g.word) for g in seeds]
         kept = _walk(
-            [(system._exponent(g.word), g) for g in seeds],
-            lambda item: [(q, None)
-                          for q in system._exponent_children(item[0])[1]],
-            lambda item: _fold_key(system, item[0], depth),
-            max_states, overflow)
-        states = [g if g is not None else
-                  AutExpr(system, ((name, q),) if any(q) else ())
-                  for q, g in kept]
+            exponents,
+            lambda q: dict.fromkeys(system._exponent_children(q)[1]),
+            lambda q: _fold_key(system, q, depth), max_states, overflow)
+        # the walk keeps the seeds first, each unless an earlier one had its
+        # key; those states stay the expressions as they were passed
+        given = {}
+        for g, q in zip(seeds, exponents):
+            given.setdefault(_fold_key(system, q, depth), g)
+        states = list(given.values()) + [
+            AutExpr(system, ((system.name, q),)) for q in kept[len(given):]]
     else:
         states = _walk(seeds, lambda expr: expr.decompose()[1],
                        lambda expr: _state_key(system, expr, depth),
@@ -379,8 +380,7 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
     nontrivial = sorted(
         (g for g in generators if not g.is_identity(depth)), key=repr)
     if system.foldable:
-        recurrent = _fold_recurrence_witness(
-            system, nontrivial, [q for q, _ in kept], depth)
+        recurrent = _fold_recurrence_witness(system, nontrivial, kept, depth)
     else:
         recurrent = _recurrence_witness(system, nontrivial, states, depth)
     return ClosureReport(system, tuple(nontrivial), tuple(states), depth,
