@@ -1091,8 +1091,9 @@ class FoldSystem(System):
     def _exponent_children(self, coeffs):
         """(c, child exponents) of g^coeffs: its root is sigma^c.
 
-        Unmemoized; the child at source y is (P[c][y] + qsum*xi + tail)
-        mod m^K, with v = c + m*xi the constant coefficient.
+        Unmemoized; the child at source y is (P[c][y] + qsum*xi + Q') mod
+        m^K, where v = c + m*xi is the constant coefficient and Q' the
+        higher coefficients shifted down one degree.
         """
         mK = self.ctx.mod.mK
         xi, c = divmod(coeffs[0], self.ctx.m)
