@@ -23,7 +23,7 @@ import itertools
 from .adic import PowerSeries
 from .tree import (
     AutExpr, Context, NotAbelian, Permutation, Portrait, ShapeMismatch, System,
-    rooted_portrait,
+    _uniform_portrait,
 )
 
 ENUM_CAP = 10000
@@ -222,7 +222,7 @@ def _level_portrait(system, levels):
                 factor = _portrait_power(levels[sub], e).suspended(d)
                 kid = factor if kid is None else kid._mul(factor)
         if kid is None:
-            kid = rooted_portrait(Permutation.identity(m), s - 1)
+            kid = _uniform_portrait(Permutation.identity(m), s - 1)
         kids.append(kid)
     return Portrait.make(system.sigma, tuple(kids))
 
@@ -434,8 +434,7 @@ def restrict_to_orbit(expr, orbit, depth=None):
     if not letters or letters[0] < 1 or letters[-1] > ctx.m:
         raise ValueError("orbit letters must lie in 1..%d" % ctx.m)
     relabel = {y: i + 1 for i, y in enumerate(letters)}
-    sub = Context(len(letters), K=ctx.K, D=ctx.D, L=ctx.L,
-                  cache_cap=ctx.cache_cap)
+    sub = Context(len(letters), K=ctx.K, D=ctx.D, L=ctx.L)
     restricted = System(sub)
     outer = system
 

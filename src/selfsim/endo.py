@@ -22,7 +22,7 @@ from .adic import NonUnit, PowerSeries
 from .intlin import lattice_index, left_kernel, solve_left
 from .tree import (
     AutExpr, Context, Permutation, Portrait, ShapeMismatch, System,
-    _identity_portrait, adding_machine,
+    _uniform_portrait, adding_machine,
 )
 
 
@@ -326,19 +326,6 @@ def _cycle_order(sigma):
     return order
 
 
-def _relabel_portrait(perm, depth):
-    """The automorphism carrying perm at every vertex, as a portrait.
-
-    Conjugation by it renames letters uniformly on all levels, turning a
-    recursion along one m-cycle into the recursion along the standard
-    cycle (1 2 ... m).
-    """
-    node = Portrait.make(perm, ())
-    for _ in range(depth - 1):
-        node = Portrait.make(perm, (node,) * perm.m)
-    return node
-
-
 def adding_machine_conjugator(beta, j, depth=None):
     """Conjugate a foldable generator onto the generalized adding machine.
 
@@ -414,7 +401,10 @@ def adding_machine_conjugator(beta, j, depth=None):
         conj = lifted if conj is None else conj * lifted
         qn = qn * q
         n += 1
-    conj = conj * _relabel_portrait(relabel, depth)
+    # Conjugation by relabel at every vertex renames letters uniformly on
+    # all levels, turning the recursion along sigma's cycle into the
+    # recursion along the standard cycle (1 2 ... m).
+    conj = conj * _uniform_portrait(relabel, depth)
     target = adding_machine(Context(m, K=ctx.K, D=ctx.D, L=depth), j)
     conjugated = beta.portrait(depth).conjugated_by(conj)
     return AddingMachineConjugation(beta, j, depth, tuple(factors), relabel,
@@ -470,7 +460,7 @@ def closed_form_conjugator(beta, depth=None):
         if sub == 1:
             pn = Portrait.make(Permutation.identity(2), ())
         else:
-            ident = _identity_portrait(2, sub - 1)
+            ident = _uniform_portrait(Permutation.identity(2), sub - 1)
             entry = beta.pow_series(cps[n]).inverse().portrait(sub - 1)
             pn = Portrait.make(Permutation.identity(2), (ident, entry))
         lifted = pn.suspended(n)

@@ -8,7 +8,7 @@ deterministic (fixed seeds).
 """
 
 import random
-from math import gcd
+from math import lcm
 
 from .adic import (
     AllDivisible, Modulus, PowerSeries, congruence_exponent, parse_series,
@@ -25,10 +25,6 @@ from .endo import (
 from .tree import (
     Context, FoldSystem, Permutation, System, adding_machine, level_perm_fast,
 )
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def criterion_binary_transversals():
@@ -320,8 +316,8 @@ def criterion_exponent_law():
                 g = (g1 ** a) * (g2 ** b)
                 if g.is_identity(8):
                     continue
-                exponent = _lcm(exponent, order_to_depth(g, 8))
-        want = _lcm(m1, m2)
+                exponent = lcm(exponent, order_to_depth(g, 8))
+        want = lcm(m1, m2)
         ok = exponent == want
         smaller = all(
             any(not (((g1 ** a) * (g2 ** b)) ** n).is_identity(8)

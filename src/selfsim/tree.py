@@ -52,6 +52,30 @@ DEFAULT_CACHE = 1000000
 EXPANSION_CAP = 4096
 
 
+# ------------------------------------------------------------------ caches
+
+class Memo(dict):
+    """A memo table that empties itself once it holds more than cap entries.
+
+    Every memo table that outlives a single call is a Memo, so put is
+    the one place where a cache bound is compared.  Emptying only loses
+    entries; callers recompute what they miss.
+    """
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap):
+        super().__init__()
+        self.cap = cap
+
+    def put(self, key, value):
+        """Store value under key and return it."""
+        if len(self) > self.cap:
+            self.clear()
+        self[key] = value
+        return value
+
+
 # ------------------------------------------------------------ permutations
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -206,7 +230,7 @@ class Context(object):
 
     __slots__ = ("m", "K", "D", "L", "mod", "cache_cap")
 
-    def __init__(self, m, K=8, D=8, L=8, cache_cap=None):
+    def __init__(self, m, K=8, D=8, L=8):
         if m < 2:
             raise ContextError("base must be at least 2")
         if L < 1:
@@ -218,7 +242,7 @@ class Context(object):
         self.D = D
         self.L = L
         self.mod = Modulus(m, K)
-        self.cache_cap = _env_cache_cap() if cache_cap is None else cache_cap
+        self.cache_cap = _env_cache_cap()
 
     def series(self, q):
         """Coerce q (series, scalar, int, or literal text) to a context series."""
@@ -266,20 +290,20 @@ class Portrait(object):
     Portraits are hash-consed so that equal subtrees are usually the same
     object, which makes a portrait a DAG of distinct nodes.  Products,
     inverses and orders are memoized in computed tables keyed on node
-    identity (each entry keeps its operands alive, so an id is never
-    reused while its entry exists), so their cost follows the number of
-    distinct nodes and node pairs, not the m^depth vertices.  The tables
-    clear together with the intern table at DEFAULT_CACHE entries;
-    equality falls back to structural comparison, so clearing is always
-    safe.
+    identity, so their cost follows the number of distinct nodes and node
+    pairs, not the m^depth vertices.  Each table is a Memo of DEFAULT_CACHE
+    entries and empties itself alone when it is full.  That is safe: an
+    entry keeps its operands alive, so an id is never reused while its
+    entry exists, and equality falls back to structural comparison, so
+    nodes made before and after the intern table empties mix freely.
     """
 
     __slots__ = ("root", "children", "depth", "_hash")
 
-    _intern = {}
-    _products = {}   # (id(a), id(b)) -> (a, b, a*b)
-    _inverses = {}   # id(a) -> (a, a^-1)
-    _orders = {}     # id(a) -> (a, order of a)
+    _intern = Memo(DEFAULT_CACHE)
+    _products = Memo(DEFAULT_CACHE)   # (id(a), id(b)) -> (a, b, a*b)
+    _inverses = Memo(DEFAULT_CACHE)   # id(a) -> (a, a^-1)
+    _orders = Memo(DEFAULT_CACHE)     # id(a) -> (a, order of a)
 
     def __init__(self, root, children):
         self.root = root
@@ -293,15 +317,7 @@ class Portrait(object):
         hit = cls._intern.get(key)
         if hit is not None:
             return hit
-        node = cls(root, children)
-        cls._remember(cls._intern, key, node)
-        return node
-
-    @classmethod
-    def _remember(cls, table, key, value):
-        if len(table) > DEFAULT_CACHE:
-            cls.clear_tables()
-        table[key] = value
+        return cls._intern.put(key, cls(root, children))
 
     @classmethod
     def clear_tables(cls):
@@ -393,7 +409,7 @@ class Portrait(object):
             child._mul(other.children[images[y] - 1])
             for y, child in enumerate(self.children))
         node = Portrait.make(self.root * other.root, kids)
-        Portrait._remember(Portrait._products, key, (self, other, node))
+        Portrait._products.put(key, (self, other, node))
         return node
 
     def inverse(self):
@@ -405,7 +421,7 @@ class Portrait(object):
             self.children[inv.images[y] - 1].inverse()
             for y in range(len(self.children)))
         node = Portrait.make(inv, kids)
-        Portrait._remember(Portrait._inverses, id(self), (self, node))
+        Portrait._inverses.put(id(self), (self, node))
         return node
 
     def order(self):
@@ -438,7 +454,7 @@ class Portrait(object):
                     y = images[y] - 1
                     length += 1
                 result = lcm(result, length * state.order())
-        Portrait._remember(Portrait._orders, id(self), (self, result))
+        Portrait._orders.put(id(self), (self, result))
         return result
 
     def suspended(self, levels):
@@ -480,10 +496,11 @@ class Portrait(object):
         return "Portrait(depth=%d, root=%r)" % (self.depth, self.root)
 
 
-def _identity_portrait(m, depth):
-    node = Portrait.make(Permutation.identity(m), ())
+def _uniform_portrait(perm, depth):
+    """The depth-bounded portrait carrying perm at every vertex."""
+    node = Portrait.make(perm, ())
     for _ in range(depth - 1):
-        node = Portrait.make(Permutation.identity(m), (node,) * m)
+        node = Portrait.make(perm, (node,) * perm.m)
     return node
 
 
@@ -491,10 +508,8 @@ def rooted_portrait(perm, depth):
     """Depth-bounded portrait of the rooted automorphism given by perm."""
     if depth < 1:
         raise DepthExceeded("depth must be at least 1")
-    if depth == 1:
-        return Portrait.make(perm, ())
-    sub = _identity_portrait(perm.m, depth - 1)
-    return Portrait.make(perm, (sub,) * perm.m)
+    below = _uniform_portrait(Permutation.identity(perm.m), depth)
+    return Portrait.make(perm, below.children)
 
 
 # ------------------------------------------------------------- expressions
@@ -646,10 +661,7 @@ class System(object):
         self._defs = {}
         self._providers = []
         self._abelian_depth = 0
-        self._atom_memo = {}
-        self._word_memo = {}
-        self._identity_memo = {}
-        self._portrait_memo = {}
+        self._forget()
 
     # -- construction
 
@@ -686,10 +698,7 @@ class System(object):
             # A certificate only covers generators that existed when it was
             # issued; a new definition invalidates it.
             self._abelian_depth = 0
-            self._atom_memo.clear()
-            self._word_memo.clear()
-            self._identity_memo.clear()
-            self._portrait_memo.clear()
+            self._forget()
         self._defs[name] = (root, tuple(words))
         return self.gen(name)
 
@@ -704,6 +713,14 @@ class System(object):
     def names(self):
         return sorted(self._defs)
 
+    def _forget(self):
+        """Start every expansion memo empty, bounded by SELFSIM_CACHE."""
+        cap = self.ctx.cache_cap
+        self._atom_memo = Memo(cap)
+        self._word_memo = Memo(cap)
+        self._identity_memo = Memo(cap)
+        self._portrait_memo = Memo(cap)
+
     def mark_abelian(self, depth):
         """Record an abelianness certificate; enables sorted-merged words.
 
@@ -712,10 +729,7 @@ class System(object):
         """
         self._abelian_depth = max(self._abelian_depth, depth)
         if depth >= self.ctx.L:
-            self._atom_memo.clear()
-            self._word_memo.clear()
-            self._identity_memo.clear()
-            self._portrait_memo.clear()
+            self._forget()
 
     def abelian_certified(self):
         return self._abelian_depth >= self.ctx.L
@@ -885,11 +899,7 @@ class System(object):
         if any(rest):
             tail = (name, self._canon_coeffs(rest))
             children = tuple(self._normalize(w + (tail,)) for w in children)
-        result = (root, children)
-        if len(self._atom_memo) > self.ctx.cache_cap:
-            self._atom_memo.clear()
-        self._atom_memo[atom] = result
-        return result
+        return self._atom_memo.put(atom, (root, children))
 
     def _const_decompose(self, name, n):
         root, entries = self._lookup(name)
@@ -933,11 +943,8 @@ class System(object):
                 children[y] = children[y] + achildren[track[y] - 1]
                 track[y] = aroot.apply(track[y])
             root = root * aroot
-        result = (root, tuple(self._normalize(w) for w in children))
-        if len(self._word_memo) > self.ctx.cache_cap:
-            self._word_memo.clear()
-        self._word_memo[word] = result
-        return result
+        return self._word_memo.put(
+            word, (root, tuple(self._normalize(w) for w in children)))
 
     def _is_identity(self, word, depth):
         word = self._normalize(word)
@@ -951,10 +958,7 @@ class System(object):
         ok = root.is_identity()
         if ok and depth > 1:
             ok = all(self._is_identity(w, depth - 1) for w in children)
-        if len(self._identity_memo) > self.ctx.cache_cap:
-            self._identity_memo.clear()
-        self._identity_memo[key] = ok
-        return ok
+        return self._identity_memo.put(key, ok)
 
     def _portrait(self, word, depth):
         word = self._normalize(word)
@@ -968,10 +972,7 @@ class System(object):
         else:
             node = Portrait.make(
                 root, tuple(self._portrait(w, depth - 1) for w in children))
-        if len(self._portrait_memo) > self.ctx.cache_cap:
-            self._portrait_memo.clear()
-        self._portrait_memo[key] = node
-        return node
+        return self._portrait_memo.put(key, node)
 
 
 class FoldSystem(System):
@@ -1109,12 +1110,9 @@ class FoldSystem(System):
         if name != self.name:
             raise KeyError("undefined generator %r" % name)
         c, kids = self._exponent_children(coeffs)
-        result = (self._sigma_powers[c],
-                  tuple(((name, q),) if any(q) else () for q in kids))
-        if len(self._atom_memo) > self.ctx.cache_cap:
-            self._atom_memo.clear()
-        self._atom_memo[atom] = result
-        return result
+        return self._atom_memo.put(atom, (
+            self._sigma_powers[c],
+            tuple(((name, q),) if any(q) else () for q in kids)))
 
     def _pow_series(self, expr, q):
         # exponents of one abelian generator multiply straight through

@@ -10,7 +10,7 @@ from selfsim.tree import (
     AutExpr, Context, DepthExceeded, FoldSystem, Permutation, System,
     ShapeMismatch, adding_machine,
 )
-from selfsim.tree import _identity_portrait
+from selfsim.tree import _uniform_portrait
 from selfsim.endo import (
     FgAbelianGroup, NonUnitSum, SelfSimilarMachine, StageRootDrift,
     Transversal, VirtualEndo,
@@ -265,7 +265,7 @@ def test_conjugator_fixes_adding_machines():
         am = adding_machine(Context(m, K=8, D=8, L=8), j)
         res = adding_machine_conjugator(am, j)
         assert res.verified()
-        assert res.portrait() == _identity_portrait(m, 8)
+        assert res.portrait() == _uniform_portrait(Permutation.identity(m), 8)
 
 
 def binary_series_beta():

@@ -1,7 +1,9 @@
-"""Library guards must hold under `python -O`, which strips `assert`.
+"""Source-level rules that every module of the package must keep.
 
-Every module of the package is parsed and any `assert` statement fails the
-test; a guard is an explicit check that raises a named exception.
+Library guards must hold under `python -O`, which strips `assert`, so any
+`assert` statement fails; a guard is an explicit check that raises a named
+exception.  Cache bounds are enforced in one place, `Memo.put`, so any
+other comparison that reads a bound fails too.
 """
 
 import ast
@@ -10,14 +12,52 @@ import pathlib
 import selfsim
 
 PACKAGE = pathlib.Path(selfsim.__file__).parent
+BOUND_NAMES = ("cache_cap", "DEFAULT_CACHE")
+
+
+def parsed_modules():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            for path in modules]
 
 
 def test_package_has_no_assert_statements():
     found = []
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert modules
-    for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        found += ["%s:%d" % (path.name, node.lineno)
+    for name, tree in parsed_modules():
+        found += ["%s:%d" % (name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def reads_a_bound(node):
+    return any(
+        (isinstance(n, ast.Name) and n.id in BOUND_NAMES)
+        or (isinstance(n, ast.Attribute)
+            and (n.attr in BOUND_NAMES or n.attr == "cap"))
+        for n in ast.walk(node))
+
+
+def memo_put_nodes(tree):
+    """Ids of every node inside the body of Memo.put."""
+    inside = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Memo":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "put":
+                    inside.update(id(n) for n in ast.walk(fn))
+    return inside
+
+
+def test_cache_bounds_are_compared_only_in_memo_put():
+    found, in_put = [], 0
+    for name, tree in parsed_modules():
+        inside = memo_put_nodes(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and reads_a_bound(node):
+                if id(node) in inside:
+                    in_put += 1
+                else:
+                    found.append("%s:%d" % (name, node.lineno))
+    assert found == []
+    assert in_put == 1
