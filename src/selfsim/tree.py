@@ -65,7 +65,6 @@ class Memo(dict):
     __slots__ = ("cap",)
 
     def __init__(self, cap):
-        super().__init__()
         self.cap = cap
 
     def put(self, key, value):
