@@ -2,11 +2,11 @@
 
 An MAdicInt is a residue mod m^K presented as K base-m digits, little-endian
 (digit 0 is the value mod m).  A PowerSeries is a polynomial of degree <= D
-with MAdicInt coefficients, standing in for a formal power series truncated
-at degree D.  A QuotientElement is the canonical normal form of a series in
-Z_m[[x]] / (r) for a relator of the shape r = m - q*x^j: every coefficient
-is an integer digit in [0, m), so two classes are equal iff their digit
-strings agree.
+standing in for a formal power series truncated at degree D; it holds its
+coefficients as integer lifts in [0, m^K).  A QuotientElement is the
+canonical normal form of a series in Z_m[[x]] / (r) for a relator of the
+shape r = m - q*x^j: every coefficient is an integer digit in [0, m), so
+two classes are equal iff their digit strings agree.
 
 Values are immutable.  Mixing values built over different (m, K) or
 different degree bounds raises ContextMismatch rather than coercing.
@@ -15,6 +15,7 @@ usual complement representation.
 """
 
 import re
+from math import gcd
 
 
 class ContextMismatch(ValueError):
@@ -71,13 +72,26 @@ class Modulus(object):
     def __repr__(self):
         return "Modulus(m=%d, K=%d)" % (self.m, self.K)
 
-    def is_prime_power(self):
-        return len(self.factorization) == 1
+
+def _from_digits(mod, digits):
+    """The integer with the given K little-endian base-m digits."""
+    if len(digits) != mod.K:
+        raise ValueError("expected %d digits" % mod.K)
+    acc = 0
+    for d in reversed(digits):
+        if not 0 <= d < mod.m:
+            raise ValueError("digit out of range")
+        acc = acc * mod.m + d
+    return acc
 
 
-def _check_same_modulus(a, b):
-    if a.mod != b.mod:
-        raise ContextMismatch("values use different moduli: %r vs %r" % (a.mod, b.mod))
+def _to_digits(mod, value):
+    """The K little-endian base-m digits of a residue in [0, m^K)."""
+    out = []
+    for _ in range(mod.K):
+        value, d = divmod(value, mod.m)
+        out.append(d)
+    return out
 
 
 class MAdicInt(object):
@@ -88,50 +102,31 @@ class MAdicInt(object):
     def __init__(self, mod, value):
         self.mod = mod
         if isinstance(value, (list, tuple)):
-            if len(value) != mod.K:
-                raise ValueError("expected %d digits" % mod.K)
-            acc = 0
-            for d in reversed(value):
-                if not 0 <= d < mod.m:
-                    raise ValueError("digit out of range")
-                acc = acc * mod.m + d
-            self.value = acc
+            self.value = _from_digits(mod, value)
         else:
             self.value = value % mod.mK
 
     @property
     def digits(self):
-        out = []
-        v = self.value
-        for _ in range(self.mod.K):
-            v, d = divmod(v, self.mod.m)
-            out.append(d)
-        return tuple(out)
+        return tuple(_to_digits(self.mod, self.value))
 
     def lift(self):
         """Return the canonical integer representative in [0, m^K)."""
         return self.value
 
     def is_unit(self):
-        from math import gcd
         return gcd(self.value % self.mod.m, self.mod.m) == 1
 
     def __add__(self, other):
-        other = _coerce(self.mod, other)
-        _check_same_modulus(self, other)
-        return MAdicInt(self.mod, self.value + other.value)
+        return MAdicInt(self.mod, self.value + _value(self.mod, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(self.mod, other)
-        _check_same_modulus(self, other)
-        return MAdicInt(self.mod, self.value - other.value)
+        return MAdicInt(self.mod, self.value - _value(self.mod, other))
 
     def __mul__(self, other):
-        other = _coerce(self.mod, other)
-        _check_same_modulus(self, other)
-        return MAdicInt(self.mod, self.value * other.value)
+        return MAdicInt(self.mod, self.value * _value(self.mod, other))
 
     __rmul__ = __mul__
 
@@ -156,11 +151,15 @@ class MAdicInt(object):
         return "MAdicInt(%d mod %d^%d)" % (self.value, self.mod.m, self.mod.K)
 
 
-def _coerce(mod, v):
+def _value(mod, v):
+    """The integer behind an int, or behind an MAdicInt over mod."""
     if isinstance(v, MAdicInt):
-        return v
+        if v.mod != mod:
+            raise ContextMismatch(
+                "values use different moduli: %r vs %r" % (mod, v.mod))
+        return v.value
     if isinstance(v, int):
-        return MAdicInt(mod, v)
+        return v
     raise TypeError("cannot interpret %r as an m-adic integer" % (v,))
 
 
@@ -182,7 +181,11 @@ def idempotents(mod):
 
 
 class PowerSeries(object):
-    """A series over Z/m^K truncated at degree D (D+1 coefficients)."""
+    """A series over Z/m^K truncated at degree D.
+
+    coeffs is the tuple of the D+1 coefficients as integer lifts in
+    [0, m^K); the constructor takes ints (reduced mod m^K) or MAdicInts.
+    """
 
     __slots__ = ("mod", "D", "coeffs")
 
@@ -191,11 +194,12 @@ class PowerSeries(object):
             raise ValueError("degree bound must be nonnegative")
         self.mod = mod
         self.D = D
-        cs = list(coeffs)
+        mK = mod.mK
+        cs = tuple([(c if type(c) is int else _value(mod, c)) % mK
+                    for c in coeffs])
         if len(cs) > D + 1:
             raise ValueError("too many coefficients for degree bound %d" % D)
-        cs += [0] * (D + 1 - len(cs))
-        self.coeffs = tuple(_coerce(mod, c) for c in cs)
+        self.coeffs = cs + (0,) * (D + 1 - len(cs))
 
     @classmethod
     def constant(cls, mod, D, c):
@@ -216,7 +220,7 @@ class PowerSeries(object):
 
     def lifts(self):
         """Return the tuple of integer coefficient lifts in [0, m^K)."""
-        return tuple(c.value for c in self.coeffs)
+        return self.coeffs
 
     def __add__(self, other):
         self._check(other)
@@ -233,12 +237,12 @@ class PowerSeries(object):
 
     def __mul__(self, other):
         if isinstance(other, (int, MAdicInt)):
-            c = _coerce(self.mod, other)
+            c = _value(self.mod, other)
             return PowerSeries(self.mod, self.D, [a * c for a in self.coeffs])
         self._check(other)
         out = [0] * (self.D + 1)
-        av = self.lifts()
-        bv = other.lifts()
+        av = self.coeffs
+        bv = other.coeffs
         for i, ai in enumerate(av):
             if ai == 0:
                 continue
@@ -252,26 +256,25 @@ class PowerSeries(object):
         """Multiply by x^n, dropping coefficients past the degree bound."""
         if n < 0:
             raise ValueError("shift must be nonnegative")
-        return PowerSeries(self.mod, self.D, (0,) * n + self.lifts()[:self.D + 1 - n])
+        return PowerSeries(self.mod, self.D, (0,) * n + self.coeffs[:self.D + 1 - n])
 
     def valuation(self):
         """Return the least degree with a nonzero coefficient, or None."""
         for i, c in enumerate(self.coeffs):
-            if c.value != 0:
+            if c:
                 return i
         return None
 
     def is_zero(self):
-        return all(c.value == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def invert(self):
         """Invert the series; requires a unit constant term."""
-        c0 = self.coeffs[0]
-        if not c0.is_unit():
-            raise NonUnit("constant term is not a unit")
-        inv0 = c0.invert().value
-        av = self.lifts()
+        av = self.coeffs
         mK = self.mod.mK
+        if gcd(av[0], self.mod.m) != 1:
+            raise NonUnit("constant term is not a unit")
+        inv0 = pow(av[0], -1, mK)
         out = [0] * (self.D + 1)
         out[0] = inv0
         # solve sum_{i<=n} a_i * b_{n-i} = 0 for b_n, degree by degree
@@ -329,7 +332,7 @@ def parse_series(text, mod, D):
 def format_series(ps):
     """Format a series with canonical nonnegative coefficient lifts."""
     terms = []
-    for d, c in enumerate(ps.lifts()):
+    for d, c in enumerate(ps.coeffs):
         if c == 0:
             continue
         if d == 0:
@@ -344,13 +347,13 @@ def format_series(ps):
 def series_to_json(ps):
     """Return the canonical JSON form of a series."""
     return {"m": ps.mod.m, "K": ps.mod.K, "D": ps.D,
-            "coeffs": [list(c.digits) for c in ps.coeffs]}
+            "coeffs": [_to_digits(ps.mod, c) for c in ps.coeffs]}
 
 
 def series_from_json(obj):
     """Rebuild a series from its canonical JSON form."""
     mod = Modulus(obj["m"], obj["K"])
-    return PowerSeries(mod, obj["D"], [MAdicInt(mod, d) for d in obj["coeffs"]])
+    return PowerSeries(mod, obj["D"], [_from_digits(mod, d) for d in obj["coeffs"]])
 
 
 def unit_decompose(q, p):
@@ -365,7 +368,7 @@ def unit_decompose(q, p):
         raise ContextMismatch("modulus %d is not a power of %d" % (mod.m, p))
     s = [0] * (q.D + 1)
     t = [0] * (q.D + 1)
-    for d, c in enumerate(q.lifts()):
+    for d, c in enumerate(q.coeffs):
         if c % p == 0:
             t[d] = c // p
         else:
@@ -389,17 +392,12 @@ def relator_parts(r):
     returned pair is (0, 0).
     """
     mod = r.mod
-    c0 = r.coeffs[0].value
-    if c0 != mod.m:
+    if r.coeffs[0] != mod.m:
         raise ValueError("relator constant term must lift to exactly m")
-    neg_q_shifted = [-(c.value) for c in r.coeffs]
-    neg_q_shifted[0] = 0
-    qs = PowerSeries(mod, r.D, neg_q_shifted)
-    j = qs.valuation()
-    if j is None:
-        return PowerSeries(mod, r.D), 0
-    q = PowerSeries(mod, r.D, qs.lifts()[j:])
-    return q, j
+    for j, c in enumerate(r.coeffs[1:], 1):
+        if c:
+            return PowerSeries(mod, r.D, [-v for v in r.coeffs[j:]]), j
+    return PowerSeries(mod, r.D), 0
 
 
 class QuotientElement(object):
@@ -481,13 +479,13 @@ def reduce_mod_r(coeffs, r):
     if isinstance(coeffs, PowerSeries):
         if coeffs.mod != mod or coeffs.D != r.D:
             raise ContextMismatch("series context differs from relator context")
-        cs = list(coeffs.lifts())
+        cs = coeffs.coeffs
     elif isinstance(coeffs, int):
         cs = [coeffs]
     else:
         cs = [c.value if isinstance(c, MAdicInt) else int(c) for c in coeffs]
-    digits = reduce_digits(cs, mod.m, q.lifts(), j, r.D)
-    return QuotientElement(mod, r.D, j, q.lifts(), digits)
+    digits = reduce_digits(cs, mod.m, q.coeffs, j, r.D)
+    return QuotientElement(mod, r.D, j, q.coeffs, digits)
 
 
 def congruence_exponent(r, p, k):
@@ -525,7 +523,7 @@ def _component_relator(r, p, k, K):
     sub = Modulus(p ** k, K)
     v = mod.m // (p ** k)
     v_inv = pow(v, -1, sub.mK)
-    q_sub = PowerSeries(sub, r.D, [(c * v_inv) % sub.mK for c in q.lifts()])
+    q_sub = PowerSeries(sub, r.D, [(c * v_inv) % sub.mK for c in q.coeffs])
     coeffs = [0] * (r.D + 1)
     coeffs[0] = p ** k
     rel = PowerSeries(sub, r.D, coeffs) - q_sub.shift(j)

@@ -37,7 +37,7 @@ from .closure import (ZetaUnbounded, extract_relations, order_to_depth,
                       state_closure, zeta)
 from .endo import phi_rep, adding_machine_conjugator, triple_from_json
 from .tree import (Context, ContextError, FoldSystem, Permutation,
-                   ShapeMismatch, System)
+                   ShapeMismatch, System, _env_cache_cap)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -915,6 +915,11 @@ def _run_verify(args, out, err):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        _env_cache_cap()   # every command, even one that builds no Context
+    except ContextError as exc:
+        print("selfsim: %s" % exc, file=sys.stderr)
+        return EXIT_CONTEXT
     if args.command == "verify":
         return _run_verify(args, sys.stdout, sys.stderr)
     return _run_script(args, sys.stdout, sys.stderr)

@@ -317,15 +317,6 @@ class AddingMachineConjugation(object):
                 % (self.j, self.depth, len(self.factors), self.verified()))
 
 
-def _cycle_order(sigma):
-    order = [1]
-    nxt = sigma.apply(1)
-    while nxt != 1:
-        order.append(nxt)
-        nxt = sigma.apply(nxt)
-    return order
-
-
 def adding_machine_conjugator(beta, j, depth=None):
     """Conjugate a foldable generator onto the generalized adding machine.
 
@@ -346,12 +337,11 @@ def adding_machine_conjugator(beta, j, depth=None):
     depth = ctx.depth(depth)
     if j < 1 or j - 1 > ctx.D:
         raise ValueError("shift %d outside the degree bound" % j)
-    qsum = PowerSeries(ctx.mod, ctx.D, system._qsum)
-    lifts = qsum.lifts()
-    if any(lifts[:j - 1]):
+    qsum = system._qsum
+    if any(qsum[:j - 1]):
         raise NonUnitSum("exponent sum is not q * x^%d" % (j - 1))
-    q = PowerSeries(ctx.mod, ctx.D, lifts[j - 1:])
-    q0 = q.lifts()[0]
+    q = PowerSeries(ctx.mod, ctx.D, qsum[j - 1:])
+    q0 = qsum[j - 1]
     if gcd(q0, ctx.m) != 1 or q0 == 0:
         raise NonUnitSum("leading coefficient %d is not a unit mod %d"
                          % (q0, ctx.m))
@@ -359,7 +349,7 @@ def adding_machine_conjugator(beta, j, depth=None):
         raise NonUnit("need q constant 1 mod %d for a fixed root cycle" % ctx.m)
 
     m = ctx.m
-    cycle = _cycle_order(system.sigma)
+    cycle = system.sigma.cycles()[0]
     images = [0] * m
     for pos, letter in enumerate(cycle):
         images[letter - 1] = pos + 1

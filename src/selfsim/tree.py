@@ -249,7 +249,7 @@ class Context(object):
         if isinstance(q, PowerSeries):
             if q.mod != self.mod or q.D > self.D:
                 raise ContextError("series context differs from session context")
-            return PowerSeries(self.mod, self.D, q.lifts())
+            return q if q.D == self.D else PowerSeries(self.mod, self.D, q.lifts())
         if isinstance(q, MAdicInt):
             if q.mod != self.mod:
                 raise ContextError("scalar context differs from session context")
@@ -338,9 +338,11 @@ class Portrait(object):
         return self.root.m
 
     def is_identity(self):
-        return self.root.is_identity() and all(c.is_identity() for c in self.children)
+        return self == _uniform_portrait(Permutation.identity(self.m), self.depth)
 
     def node_count(self):
+        """The number of tree vertices, 1 + m + ... + m^(depth-1), not of
+        distinct DAG nodes: a shared node counts once per vertex."""
         return 1 + sum(c.node_count() for c in self.children)
 
     def nodes_bfs(self):

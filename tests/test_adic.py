@@ -5,6 +5,8 @@ expansion, modular inverses via pow, CRT by search, integer convolution)
 rather than from the code under test.
 """
 
+from math import gcd
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -175,7 +177,7 @@ def test_series_square_keeps_adic_coefficient():
     a = PowerSeries(mod, 3, (1, 1))
     sq = a * a
     oracle = convolve([1, 1], [1, 1], 3)
-    assert [c.lift() for c in sq.coeffs] == [v % mod.mK for v in oracle] == [1, 2, 1, 0]
+    assert list(sq.coeffs) == [v % mod.mK for v in oracle] == [1, 2, 1, 0]
 
 
 @given(moduli, precisions, st.lists(st.integers(), max_size=5),
@@ -221,8 +223,25 @@ def test_series_invert_non_unit():
 def test_series_invert_random(m, K, xs):
     mod = Modulus(m, K)
     a = PowerSeries(mod, 4, xs[:5])
-    if a.coeffs[0].is_unit():
+    if gcd(a.coeffs[0], m) == 1:
         assert a * a.invert() == PowerSeries.constant(mod, 4, 1)
+
+
+@given(moduli, precisions, st.lists(st.integers(), max_size=5), st.booleans())
+def test_series_holds_plain_integer_lifts(m, K, xs, boxed):
+    mod = Modulus(m, K)
+    a = PowerSeries(mod, 4, [MAdicInt(mod, v) for v in xs] if boxed else xs)
+    want = [v % mod.mK for v in xs] + [0] * (5 - len(xs))
+    assert all(type(c) is int for c in a.coeffs)
+    assert list(a.coeffs) == want and a.lifts() == a.coeffs
+    obj = series_to_json(a)
+    assert obj["coeffs"] == [list(base_m_digits(v, m, K)) for v in want]
+    assert series_from_json(obj) == a
+    if gcd(want[0], m) != 1:
+        with pytest.raises(NonUnit):
+            a.invert()
+    with pytest.raises(ContextMismatch):
+        PowerSeries(mod, 4, [MAdicInt(Modulus(m, K + 1), 1)])
 
 
 # --------------------------------------------------------------- literals
@@ -298,7 +317,7 @@ def test_unit_decompose_reconstructs(pk, xs):
     except AllDivisible:
         assert all(c % p == 0 for c in q.lifts())
         return
-    assert u.coeffs[0].is_unit()
+    assert gcd(u.coeffs[0], mod.m) == 1
     assert u.shift(l) + t * p == q
 
 

@@ -301,14 +301,17 @@ def test_exit_base_below_two(tmp_path, capsys):
 def test_exit_cache_bound_not_a_positive_integer(tmp_path, capsys,
                                                  monkeypatch):
     script = write_script(tmp_path, "context m=2\ngen a = (e, a) (1 2)\n")
+    # `verify ring` builds no Context, alone or in a script
+    ring = write_script(tmp_path, "verify ring\n", name="ring.sel")
     for value in ("abc", "0"):
         monkeypatch.setenv("SELFSIM_CACHE", value)
         code, _, err = run_cli(["run", script], capsys)
         assert code == 3
         assert "SELFSIM_CACHE must be a positive integer" in err
-    code, _, err = run_cli(["verify", "odometer"], capsys)
-    assert code == 3
-    assert "SELFSIM_CACHE must be a positive integer" in err
+    for argv in (["verify", "odometer"], ["verify", "ring"], ["run", ring]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert "SELFSIM_CACHE must be a positive integer" in err
 
 
 def test_exit_depth_exceeded(tmp_path, capsys):
