@@ -447,7 +447,6 @@ class Session(object):
         self.system = None
         self.lets = {}
         self.gens = set()
-        self.folds = {}
         self.check_failed = False
 
     # -- plumbing
@@ -534,32 +533,6 @@ class Session(object):
         except (ShapeMismatch, ValueError) as exc:
             raise CliRunError(line, str(exc), EXIT_PARSE)
         self.gens.add(name)
-        self._maybe_fold_twin(name, stmt, root)
-
-    def _maybe_fold_twin(self, name, stmt, root):
-        """Mirror a single self-recursion on a folding engine."""
-        if not root.is_full_cycle():
-            return
-        exponents = []
-        for word in stmt["entries"]:
-            if word is None:
-                exponents.append(0)
-                continue
-            if len(word) != 1:
-                return
-            factor = word[0]
-            if factor["name"] != name or factor["shift"] not in (None, 0):
-                return
-            if factor["series"] is not None:
-                exponents.append(factor["series"])
-            elif factor["power"] is not None:
-                exponents.append(factor["power"])
-            else:
-                exponents.append(1)
-        try:
-            self.folds[name] = FoldSystem(self.ctx, name, exponents, root)
-        except (ShapeMismatch, ValueError):
-            return
 
     def _do_let(self, stmt):
         self._check_fresh(stmt["name"], stmt["line"])
@@ -638,14 +611,15 @@ class Session(object):
         name = stmt["name"]
         if name not in self.gens:
             raise CliRunError(line, "undefined name %r" % name, EXIT_PARSE)
-        twin = self.folds.get(name)
-        if twin is None:
+        try:
+            fold = FoldSystem.from_definition(self.system, name)
+        except ShapeMismatch:
             raise CliRunError(
                 line, "conjugate needs a single self-recursion generator "
                 "with a full-cycle root", EXIT_MATH)
         depth = stmt["kv"].get("L", self.ctx.L)
-        result = adding_machine_conjugator(twin.generator(), stmt["kv"]["j"],
-                                  depth=depth)
+        result = adding_machine_conjugator(fold.generator(), stmt["kv"]["j"],
+                                           depth=depth)
         self.emit({"command": "conjugate", "generator": name,
                    "j": result.j, "depth": result.depth,
                    "stages": len(result.factors),

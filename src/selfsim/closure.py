@@ -389,7 +389,7 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
 
 # ------------------------------------------------------------- restriction
 
-def as_machine(expr, depth=None, max_states=ENUM_CAP, prefix="q"):
+def as_machine(expr, depth=None):
     """Rebuild expr as a finite-state machine on a generic system.
 
     States discovered breadth-first become generators q0, q1, ... of a new
@@ -406,15 +406,15 @@ def as_machine(expr, depth=None, max_states=ENUM_CAP, prefix="q"):
     states = _walk(
         [expr],
         lambda e: [c for c in e.decompose()[1] if not c.is_identity(depth)],
-        key, max_states, "more than %d machine states" % max_states)
+        key, ENUM_CAP, "more than %d machine states" % ENUM_CAP)
     machine = System(ctx)
-    names = {key(e): "%s%d" % (prefix, i) for i, e in enumerate(states)}
+    names = {key(e): "q%d" % i for i, e in enumerate(states)}
     for name, e in zip(names.values(), states):
         root, kids = e.decompose()
         machine.define(name, root, [
             "e" if c.is_identity(depth) else machine.gen(names[key(c)])
             for c in kids])
-    return machine.gen(prefix + "0")
+    return machine.gen("q0")
 
 
 def restrict_to_orbit(expr, orbit, depth=None):
@@ -459,7 +459,7 @@ def restrict_to_orbit(expr, orbit, depth=None):
 
 # ------------------------------------------------------------------ peeling
 
-def _perm_span(roots, m, cap=ENUM_CAP):
+def _perm_span(roots, m):
     """Breadth-first table: permutation -> first-found exponent tuple."""
     table = {Permutation.identity(m): (0,) * len(roots)}
     frontier = list(table)
@@ -470,9 +470,9 @@ def _perm_span(roots, m, cap=ENUM_CAP):
             for i, s in enumerate(roots):
                 q = p * s
                 if q not in table:
-                    if len(table) >= cap:
+                    if len(table) >= ENUM_CAP:
                         raise SaturationOverflow(
-                            "root span larger than %d" % cap)
+                            "root span larger than %d" % ENUM_CAP)
                     t = list(base)
                     t[i] += 1
                     table[q] = tuple(t)
@@ -498,7 +498,7 @@ def peel(target, basis, depth=None):
     system = target.system
     ctx = system.ctx
     depth = ctx.L if depth is None else depth
-    if not (system.foldable or system.abelian_certified()):
+    if not system.abelian_certified():
         raise NotAbelian("peeling needs an abelian-verified system")
     for b in basis:
         if b.system is not system:
@@ -585,7 +585,7 @@ def extract_relations(basis, depth=None):
         raise ValueError("need at least one basis element")
     system = basis[0].system
     ctx = system.ctx
-    if not (system.foldable or system.abelian_certified()):
+    if not system.abelian_certified():
         # certification needs the full context depth, whatever depth the
         # presentation itself is asked to use
         state_closure(list(basis))

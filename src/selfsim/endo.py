@@ -21,8 +21,8 @@ from math import gcd
 from .adic import NonUnit, PowerSeries
 from .intlin import lattice_index, left_kernel, solve_left
 from .tree import (
-    AutExpr, Context, Permutation, Portrait, ShapeMismatch, System,
-    _uniform_portrait, adding_machine,
+    AutExpr, Context, FoldSystem, Permutation, Portrait, ShapeMismatch,
+    System, _uniform_portrait, adding_machine,
 )
 
 
@@ -234,9 +234,9 @@ class SelfSimilarMachine(object):
         return self.system.gen(self._name(vec))
 
 
-def phi_rep(v, t, ctx=None, system=None, prefix="g"):
+def phi_rep(v, t, ctx=None):
     """Build the tree representation machine for the triple and transversal."""
-    return SelfSimilarMachine(v, t, ctx=ctx, system=system, prefix=prefix)
+    return SelfSimilarMachine(v, t, ctx=ctx)
 
 
 def transversal_change(h_list, v, t, ctx=None):
@@ -327,12 +327,7 @@ def adding_machine_conjugator(beta, j, depth=None):
     q, and NonUnit when q(0) is a unit other than 1 mod m (the corecursion
     then changes the root cycle each stage and never converges).
     """
-    system = beta.system
-    if not system.foldable:
-        raise ShapeMismatch("conjugation needs a foldable single-generator system")
-    word = system._normalize(beta.word)
-    if word != system._normalize(system.generator().word):
-        raise ShapeMismatch("conjugation applies to the generator itself")
+    system = FoldSystem.of(beta)
     ctx = system.ctx
     depth = ctx.depth(depth)
     if j < 1 or j - 1 > ctx.D:
@@ -437,7 +432,7 @@ def triple_from_json(data):
 
 def closed_form_conjugator(beta, depth=None):
     """Portrait of the closed-form conjugator Prod (e, beta^(-c'_n))^(n)."""
-    system = beta.system
+    system = FoldSystem.of(beta)
     ctx = system.ctx
     if ctx.m != 2:
         raise ShapeMismatch("the closed form is specific to binary trees")

@@ -141,11 +141,11 @@ def _random_fold(rng, m, ctx):
     return FoldSystem(ctx, "g", exps, perm)
 
 
-def criterion_fold_family(count=50):
+def criterion_fold_family():
     """Random single-generator recursions: closure, annihilator, peeling."""
     rng = random.Random(20240811)
     checks = []
-    for trial in range(count):
+    for trial in range(50):
         m = rng.choice((2, 3, 4))
         # K = D + 1 keeps every digit of the reduction oracle inside the
         # carry-exact zone, so the peel comparison is digit-for-digit.
@@ -164,11 +164,11 @@ def criterion_fold_family(count=50):
     return checks
 
 
-def criterion_level_actions(count=50):
+def criterion_level_actions():
     """Carry-free level permutations match portrait enumeration for l <= 6."""
     rng = random.Random(20240811)
     checks = []
-    for trial in range(count):
+    for trial in range(50):
         m = rng.choice((2, 3, 4))
         ctx = Context(m, K=8, D=8, L=8)
         sysg = _random_fold(rng, m, ctx)
@@ -183,14 +183,14 @@ def criterion_level_actions(count=50):
     return checks
 
 
-def criterion_quotient_ring(pairs=100):
+def criterion_quotient_ring():
     """Carry rewriting is idempotent and additive; base 2 gives binary."""
     rng = random.Random(99)
     mod = Modulus(2, 8)
     r = parse_series("2 - x", mod, 8)
     ok_idem = True
     ok_hom = True
-    for _ in range(pairs):
+    for _ in range(100):
         c1 = [rng.randint(-30, 60) for _ in range(9)]
         c2 = [rng.randint(-30, 60) for _ in range(9)]
         r1 = reduce_mod_r(c1, r)
@@ -209,12 +209,12 @@ def criterion_quotient_ring(pairs=100):
     return checks
 
 
-def criterion_congruence_witnesses(count=20):
+def criterion_congruence_witnesses():
     """Constructive congruence exponents over prime-power arities."""
     rng = random.Random(4242)
     checks = []
     trial = 0
-    while trial < count:
+    while trial < 20:
         p = rng.choice((2, 3, 5))
         k = rng.choice((1, 2))
         m = p ** k

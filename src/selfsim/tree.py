@@ -1031,6 +1031,35 @@ class FoldSystem(System):
         self._defs[name] = (sigma, tuple(entry_words))
         self._abelian_depth = ctx.L
 
+    @classmethod
+    def from_definition(cls, system, name):
+        """The fold system of a generator defined on any System.
+
+        Every entry must be e or a product of powers and diagonal shifts
+        of the generator itself; those commute, so p_y is the sum of the
+        entry's atom exponents.  Raises ShapeMismatch for any other entry
+        and for a root that is not a full m-cycle.
+        """
+        root, words = system._lookup(name)
+        exponents = []
+        for word in words:
+            if any(atom != name for atom, _ in word):
+                raise ShapeMismatch(
+                    "an entry of %r names another generator" % name)
+            exponents.append(PowerSeries(system.ctx.mod, system.ctx.D, [
+                sum(col) for col in zip(*(coeffs for _, coeffs in word))]))
+        return cls(system.ctx, name, exponents, root)
+
+    @staticmethod
+    def of(expr):
+        """The fold system whose generator expr is; ShapeMismatch otherwise."""
+        system = expr.system
+        if not (system.foldable
+                and system._normalize(expr.word) == system.generator().word):
+            raise ShapeMismatch(
+                "needs the generator of a foldable single-generator system")
+        return system
+
     def _canon_coeffs(self, coeffs):
         mK = self.ctx.mod.mK
         return tuple(v % mK for v in coeffs)
@@ -1174,13 +1203,7 @@ class FoldSystem(System):
 
 def level_perm_fast(gen_expr, l):
     """Level-l permutation of a foldable generator; checked for shape."""
-    system = gen_expr.system
-    if not system.foldable:
-        raise ShapeMismatch("level recursion needs a foldable single-generator system")
-    word = system._normalize(gen_expr.word)
-    if word != system._normalize(system.generator().word):
-        raise ShapeMismatch("level recursion applies to the generator itself")
-    return system.level_perm_fast(l)
+    return FoldSystem.of(gen_expr).level_perm_fast(l)
 
 
 def adding_machine(ctx, j=1):

@@ -183,6 +183,23 @@ def test_run_conjugate_reports_verified(tmp_path, capsys):
     assert row["depth"] == 6
 
 
+@pytest.mark.parametrize("context,written,plain", [
+    ("context m=2", "(e, b*b^{x}) (1 2)", "(e, b^{1 + x}) (1 2)"),
+    ("context m=3", "(b@1, e, b^-2*b^3) (1 2 3)", "(b^{x}, e, b) (1 2 3)"),
+])
+def test_run_conjugate_accepts_products_and_shifts(tmp_path, capsys, context,
+                                                   written, plain):
+    rows = []
+    for entries in (written, plain):
+        script = write_script(tmp_path, "%s\ngen b = %s\nconjugate b j=1 L=8\n"
+                              % (context, entries))
+        code, out, err = run_cli(["run", script], capsys)
+        assert code == 0, err
+        rows.append(out)
+    assert rows[0] == rows[1]
+    assert rows_of(rows[0])[0]["verified"] is True
+
+
 def test_run_represent(tmp_path, capsys):
     triple = tmp_path / "triple.json"
     triple.write_text(json.dumps({

@@ -353,6 +353,11 @@ def test_conjugator_errors():
     beta = binary_series_beta()
     with pytest.raises(ShapeMismatch):
         adding_machine_conjugator(beta * beta, 1)
+    # the closed form has the same precondition: g*g on a fold system
+    # would otherwise return a portrait that does not conjugate it
+    for not_a_generator in (plain.gen("s"), beta * beta):
+        with pytest.raises(ShapeMismatch):
+            closed_form_conjugator(not_a_generator)
     with pytest.raises(ValueError):
         adding_machine_conjugator(beta, 0)
     with pytest.raises(ShapeMismatch):
