@@ -3,11 +3,13 @@
 The state-closure of a set of tree automorphisms is everything reachable by
 repeatedly taking first-level states; one breadth-first walk (_walk) finds
 it.  For a foldable single-generator system the states are powers of one
-generator, so the walk runs on plain exponent coefficient tuples (children
-by FoldSystem._exponent_children) and an expression is built only for each
-state kept.  Those states are deduplicated by the canonical digit expansion
-of their exponents modulo the annihilator (two exponents share a digit
-prefix below depth d exactly when the automorphisms agree to depth d); for
+generator, so the walk runs on plain exponent coefficient tuples and an
+expression is built only for each state kept.  Those states are keyed by
+the linear invariant of FoldSystem.key_forms: a few dot products that
+tell exponents apart exactly when the automorphisms differ to depth d.
+The key is additive, so each state's m child keys follow from one dot
+product per form with its own exponent, and a child's tuple
+(FoldSystem._exponent_child) is built only when its key is new.  For
 anything else the walk runs on expressions, deduplicated by their
 depth-bounded portraits, which are hash-consed and therefore cheap keys.
 
@@ -19,6 +21,8 @@ the determinant relator of the resulting presentation matrix.
 """
 
 import itertools
+from functools import partial
+from operator import mul
 
 from .adic import PowerSeries
 from .tree import (
@@ -52,8 +56,63 @@ class ZetaUnbounded(ArithmeticError):
 
 # ------------------------------------------------------------- saturation
 
+def _fold_forms(system, depth):
+    """(forms, m^n) of FoldSystem.key_forms at n = min(depth, D + 1)."""
+    n = min(depth, system.ctx.D + 1)
+    return system.key_forms(n), system.ctx.m ** n
+
+
+def _form_values(forms, coeffs):
+    """The forms' unreduced values at coeffs: one dot product each."""
+    return [sum(map(mul, coeffs, f)) for f in forms]
+
+
+def _reduced(values, M):
+    """The key from form values: an int for one form, else a tuple."""
+    if len(values) == 1:
+        return values[0] % M
+    return tuple([v % M for v in values])
+
+
 def _fold_key(system, coeffs, depth):
-    return system.exponent_digits(coeffs, depth)
+    forms, M = _fold_forms(system, depth)
+    return _reduced(_form_values(forms, coeffs), M)
+
+
+def _fold_children(system, depth):
+    """children(Q) for _walk on the exponent tuples of a fold system.
+
+    The key is linear, so the child at source y of g^Q, Q_0 = c + m*xi,
+    has key phi(P[c][y]) + xi*phi(qsum) + phi(Q_1, Q_2, ...); the first
+    two are tabled here, once per walk, and the third is one dot product
+    per form for all m children.
+    """
+    m = system.ctx.m
+    forms, M = _fold_forms(system, depth)
+    table = [[_form_values(forms, p) for p in row] for row in system._prefix]
+    qsum = _form_values(forms, system._qsum)
+    child = system._exponent_child
+    if len(forms) == 1:
+        (form,), (phi_q,) = forms, qsum
+        table = [[v for (v,) in row] for row in table]
+
+        def children(q):
+            xi, c = divmod(q[0], m)
+            base = xi * phi_q + sum(map(mul, q[1:], form))
+            return [(v + base) % M for v in table[c]], partial(child, q)
+    else:
+        def children(q):
+            xi, c = divmod(q[0], m)
+            tail = _form_values(forms, q[1:])
+            base = [xi * b + t for b, t in zip(qsum, tail)]
+            return ([tuple([(v + b) % M for v, b in zip(row, base)])
+                     for row in table[c]], partial(child, q))
+    return children
+
+
+def _built(items, key):
+    """Children for _walk that are already built: their keys, and items."""
+    return [key(item) for item in items], items.__getitem__
 
 
 def _state_key(system, expr, depth):
@@ -65,25 +124,28 @@ def _state_key(system, expr, depth):
 def _walk(seeds, children, key, max_states, overflow):
     """Breadth-first saturation: one item per key, in discovery order.
 
-    The seeds are visited first, in order, then children(item) of every
-    kept item in turn; an item whose key was seen before is dropped.
-    Raises SaturationOverflow(overflow) on a key past max_states.
+    The seeds are visited first, in order, then the children of every kept
+    item in turn; an item whose key was seen before is dropped.  Seeds are
+    keyed by key(item); children(item) returns (keys, build) with the
+    children's keys in order and build(i) making child i, which is called
+    only for a key not seen before, so a child that repeats a state is
+    never built.  Raises SaturationOverflow(overflow) on a key past
+    max_states.
     """
     kept = []
     seen = set()
-    batch = seeds
+    keys, build = _built(seeds, key)
     expanded = 0
     while True:
-        for item in batch:
-            k = key(item)
+        for i, k in enumerate(keys):
             if k not in seen:
                 if len(seen) >= max_states:
                     raise SaturationOverflow(overflow)
                 seen.add(k)
-                kept.append(item)
+                kept.append(build(i))
         if expanded == len(kept):
             return kept
-        batch = children(kept[expanded])
+        keys, build = children(kept[expanded])
         expanded += 1
 
 
@@ -273,30 +335,29 @@ def _fold_recurrence_witness(system, generators, exponents, depth):
     A word with exponent series w fixes the first letter exactly when the
     constant term is divisible by m, and its state there has exponent
     qsum * (w(0) / m) + (w - w(0)) / x.  Candidates are the states'
-    exponents, their negatives and their pairwise sums, compared by
-    reduced digit prefix.
+    exponents, their negatives and their pairwise sums, compared by the
+    linear key at depth - 1.  The key is linear, so a candidate is carried
+    as (w(0), form values of (w - w(0)) / x) and its state's key costs one
+    multiply-add per form, with no exponent tuple built.
     """
     m = system.ctx.m
-    qsum = system._qsum
-    probe = max(1, depth - 1)
-
-    def key(coeffs):
-        return system.exponent_digits(coeffs, probe)
-
-    unmatched = {key(system._exponent(g.word)) for g in generators}
-    pool = list(exponents)
-    pool += [tuple(-c for c in w) for w in pool]
+    forms, M = _fold_forms(system, max(1, depth - 1))
+    qsum = _form_values(forms, system._qsum)
+    unmatched = {_reduced(_form_values(forms, system._exponent(g.word)), M)
+                 for g in generators}
+    pool = [(w[0], _form_values(forms, w[1:])) for w in exponents]
+    pool += [(-v, [-t for t in tail]) for v, tail in pool]
     singles_then_sums = itertools.chain(
-        pool, (tuple(x + y for x, y in zip(a, b))
-               for a, b in itertools.product(pool, repeat=2)))
-    for scanned, w in enumerate(singles_then_sums):
+        pool, ((a + b, [x + y for x, y in zip(ta, tb)])
+               for (a, ta), (b, tb) in itertools.product(pool, repeat=2)))
+    for scanned, (v, tail) in enumerate(singles_then_sums):
         if not unmatched or scanned >= WITNESS_SCAN_BUDGET:
             break
-        if w[0] % m:
+        if v % m:
             continue
-        xi = w[0] // m
-        child = tuple(q * xi + t for q, t in zip(qsum, w[1:] + (0,)))
-        unmatched.discard(key(child))
+        xi = v // m
+        unmatched.discard(
+            _reduced([xi * q + t for q, t in zip(qsum, tail)], M))
     return not unmatched
 
 
@@ -346,11 +407,9 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
     seeds = [system.identity()] + list(generators)
     overflow = "more than %d states at depth %d" % (max_states, depth)
     if system.foldable:
-        # walk exponent tuples; equal children of one state share a key
         exponents = [system._exponent(g.word) for g in seeds]
         kept = _walk(
-            exponents,
-            lambda q: dict.fromkeys(system._exponent_children(q)[1]),
+            exponents, _fold_children(system, depth),
             lambda q: _fold_key(system, q, depth), max_states, overflow)
         # the walk keeps the seeds first, each unless an earlier one had its
         # key; those states stay the expressions as they were passed
@@ -360,12 +419,14 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
         states = list(given.values()) + [
             AutExpr(system, ((system.name, q),)) for q in kept[len(given):]]
     else:
-        states = _walk(seeds, lambda expr: expr.decompose()[1],
-                       lambda expr: _state_key(system, expr, depth),
-                       max_states, overflow)
+        def key(expr):
+            return _state_key(system, expr, depth)
+
+        states = _walk(seeds, lambda expr: _built(expr.decompose()[1], key),
+                       key, max_states, overflow)
 
     if system.foldable and len(states) <= 2 * PAIRWISE_CAP:
-        # the digit-prefix keys promise pairwise distinctness; spot-check it
+        # the linear keys promise pairwise distinctness; spot-check it
         for a, b in itertools.combinations(states, 2):
             if a.equal_to_depth(b, depth):
                 raise DedupeCollision(
@@ -405,7 +466,8 @@ def as_machine(expr, depth=None):
 
     states = _walk(
         [expr],
-        lambda e: [c for c in e.decompose()[1] if not c.is_identity(depth)],
+        lambda e: _built([c for c in e.decompose()[1]
+                          if not c.is_identity(depth)], key),
         key, ENUM_CAP, "more than %d machine states" % ENUM_CAP)
     machine = System(ctx)
     names = {key(e): "q%d" % i for i, e in enumerate(states)}

@@ -23,7 +23,7 @@ require K >= L and D >= L: depth-L observations are then exact.
 
 import os
 import re
-from math import lcm
+from math import gcd, lcm
 
 from .adic import MAdicInt, Modulus, PowerSeries, reduce_digits, relator_parts
 
@@ -987,10 +987,18 @@ class FoldSystem(System):
 
     where P[c][y] = p_y + p_{(y)s} + ... + p_{(y)s^(c-1)} is read from a
     table of prefix sums along the cycle, built once at construction, so
-    each child is a single vector add (_exponent_children).
+    each child is a single vector add (_exponent_child).
     The state-closure of such a generator is abelian, so exponents add;
     all coefficients live mod m^K and one digit of scalar precision is
     consumed per level, exactly matching the K >= L context rule.
+
+    g^Q and g^Q' agree to depth n exactly when Q - Q' lies in the ideal
+    (r, x^n) of Z[x], r = m - x*(p_1+...+p_m) the annihilator.  Two keys
+    decide that: the canonical digit prefix (exponent_digits, a carry
+    pass, kept as the oracle) and the linear key of key_forms, a few dot
+    products with weights fixed per depth.  Because the linear key is
+    additive, the closure walk derives every child's key from its parent
+    and builds only the children whose key is new.
     """
 
     foldable = True
@@ -1087,6 +1095,55 @@ class FoldSystem(System):
         n = min(n, self.ctx.D + 1)
         return tuple(reduce_digits(coeffs[:n], self.ctx.m, qlifts, j, n - 1))
 
+    def key_forms(self, n):
+        """Weights of a complete linear key for exponents at depth n.
+
+        Returns a tuple of forms; each form f is a tuple of integers in
+        [0, m^n), and an exponent Q (integers by degree, signed or not)
+        has the values sum(Q[j] * f[j]) mod m^n.  Two exponents have equal
+        values under every form exactly when their first n canonical
+        digits (exponent_digits) agree.  There is one form when q(0) is a
+        unit mod m, q = p_1 + ... + p_m, and n forms otherwise.
+
+        Proof.  Let r = m - x*q and s = m^n * r^(-1) mod x^n.  Comparing
+        coefficients in r*s = m^n gives s_0 = m^(n-1) and
+
+            s_i = (sum over 1 <= t <= i of q_(t-1) * s_(i-t)) / m,
+
+        and by induction s_i = m^(n-1-i) * u_i with u_0 = 1 and
+        u_i = sum q_(t-1) m^(t-1) u_(i-t), so every division is exact.
+        The digit prefix of Q is the class of Q in Z[x]/(r, x^n), a group
+        of order m^n (multiplication by r on Z[x]/(x^n) is triangular with
+        determinant m^n).  Claim: Q lies in (r, x^n) exactly when
+        Q*s = 0 mod (x^n, m^n).  If Q = r*A + x^n*B, then Q*s = m^n*A mod
+        x^n.  Conversely, if Q*s = m^n*A mod x^n, multiplying by r gives
+        m^n*Q = m^n*r*A mod x^n, and Z[x]/(x^n) has no torsion, so
+        Q = r*A mod x^n.  So the n coefficients of Q*s mod x^n, each taken
+        mod m^n, are a complete invariant; form i holds s_i, ..., s_0 as
+        the weights of Q_0, ..., Q_i.
+        When gcd(q(0), m) = 1 the top form alone is complete: it is a
+        homomorphism from the class group, of order m^n, to Z/m^n, and it
+        sends 1 to s_(n-1) = u_(n-1) = q(0)^(n-1) mod m, a unit, so it is
+        onto and therefore one to one.  (For n = 1 the single form is Q_0
+        mod m whatever q(0) is.)
+        Only Q mod m^n matters, and the ideal (r, x^n) contains m^n
+        (m = x*q mod r, so m^n = x^n*q^n), so for n <= K the mod-m^K lifts
+        of Q and of q give the same classes; the forms are built from the
+        lifts _qsum, with no relator split, so K = 1 needs no special case.
+        """
+        if not 1 <= n <= self.ctx.K:
+            raise DepthExceeded(
+                "key depth %d outside 1..%d" % (n, self.ctx.K))
+        m = self.ctx.m
+        M = m ** n
+        q = self._qsum
+        s = [m ** (n - 1)]
+        for i in range(1, n):
+            s.append(sum(q[t - 1] * s[i - t] for t in range(1, i + 1)) // m)
+        forms = tuple(tuple(s[i - j] % M for j in range(i + 1))
+                      for i in range(n))
+        return forms[-1:] if gcd(q[0], m) == 1 else forms
+
     def _const_decompose(self, name, n):
         raise AssertionError("fold systems decompose atoms directly")
 
@@ -1119,12 +1176,23 @@ class FoldSystem(System):
                 raise KeyError("undefined generator %r" % name)
         return word[0][1] if word else self._zero_coeffs()
 
+    def _exponent_child(self, coeffs, y):
+        """The child exponent of g^coeffs at source y + 1 (0-based y).
+
+        Unmemoized: (P[c][y] + qsum*xi + Q') mod m^K, where v = c + m*xi
+        is the constant coefficient and Q' the higher coefficients shifted
+        down one degree.
+        """
+        mK = self.ctx.mod.mK
+        xi, c = divmod(coeffs[0], self.ctx.m)
+        return tuple([(p + q * xi + t) % mK for p, q, t in zip(
+            self._prefix[c][y], self._qsum, coeffs[1:] + (0,))])
+
     def _exponent_children(self, coeffs):
         """(c, child exponents) of g^coeffs: its root is sigma^c.
 
-        Unmemoized; the child at source y is (P[c][y] + qsum*xi + Q') mod
-        m^K, where v = c + m*xi is the constant coefficient and Q' the
-        higher coefficients shifted down one degree.
+        All m children of _exponent_child at once, sharing the shift
+        qsum*xi + Q' (atom decompositions need every child).
         """
         mK = self.ctx.mod.mK
         xi, c = divmod(coeffs[0], self.ctx.m)

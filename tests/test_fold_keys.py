@@ -1,16 +1,24 @@
 """The fold engine's fast paths, against their oracles.
 
-A FoldSystem keys states by the digit prefix of their exponent modulo the
-annihilator, computed by `exponent_digits` from a relator split once at
-construction; the oracle is `reduce_mod_r` on the annihilator series.  It
-also decomposes one-atom words straight through `_atom_decompose`; the
-oracle is the generic `System` word engine.
+A FoldSystem's exponents are told apart to depth n by the digit prefix of
+their exponent modulo the annihilator, computed by `exponent_digits` from
+a relator split once; its oracle is `reduce_mod_r` on the annihilator
+series.  The closure walk keys states by the linear invariant of
+`key_forms` instead; its oracle is the digit prefix, and each child key
+the walk derives from its parent must equal the key of the built child.
+A FoldSystem also decomposes one-atom words straight through
+`_atom_decompose`; the oracle is the generic `System` word engine.
 """
+
+import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfsim import closure
 from selfsim.adic import PowerSeries, reduce_mod_r
+from selfsim.closure import state_closure
 from selfsim.tree import AutExpr, Context, FoldSystem, Permutation, System
 
 
@@ -78,9 +86,122 @@ def test_cached_annihilator_is_the_closed_form_and_kills(system):
 
 def test_one_digit_systems_still_build():
     # with K = 1 the annihilator's constant m vanishes mod m^K, so the
-    # relator is only split (and rejected) when a key is asked for
+    # digit oracle's relator split rejects it; the linear key needs none
     system = FoldSystem(Context(2, K=1, D=1, L=1), "g", [0, 1], "(1 2)")
     g = system.generator()
     assert g.portrait().root == Permutation.from_cycles("(1 2)", 2)
     with pytest.raises(ValueError):
         system.exponent_digits((1, 0), 1)
+
+
+# ------------------------------------------------------------ linear keys
+
+QSUM_KINDS = ("unit", "non-unit", "zero")
+
+
+@st.composite
+def keyed_systems(draw):
+    """A fold system whose q(0) = p_1(0)+...+p_m(0) is a unit mod m, a
+    nonzero non-unit, or 0, and a key depth n in 1..min(K, D + 1)."""
+    m = draw(st.integers(2, 4))
+    depth = draw(st.integers(1, 5))
+    ctx = Context(m, K=depth + draw(st.integers(1, 2)), D=depth, L=depth)
+    cycle = [1] + draw(st.permutations(range(2, m + 1)))
+    sigma = Permutation.from_cycles([cycle], m)
+    coeffs = st.lists(st.integers(-m * m, m * m), min_size=1,
+                      max_size=depth + 1)
+    exps = [draw(coeffs) for _ in range(m)]
+    kind = draw(st.sampled_from(QSUM_KINDS))
+    if kind == "unit":
+        units = [u for u in range(1, m) if gcd(u, m) == 1]
+        want = draw(st.sampled_from(units)) + m * draw(st.integers(-2, 2))
+    elif kind == "non-unit":
+        p = 3 if m == 3 else 2
+        want = p * draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
+        if gcd(want, m) == 1:
+            want *= p
+    else:
+        want = 0
+    exps[-1][0] += want - sum(e[0] for e in exps)
+    system = FoldSystem(
+        ctx, "g", [PowerSeries(ctx.mod, ctx.D, e) for e in exps], sigma)
+    n = draw(st.integers(1, min(ctx.K, ctx.D + 1)))
+    return system, n
+
+
+def poly_mul(a, b, width):
+    out = [0] * width
+    for i, x in enumerate(a[:width]):
+        for j, y in enumerate(b[:width - i]):
+            out[i + j] += x * y
+    return out
+
+
+def linear_key(system, coeffs, n):
+    forms = system.key_forms(n)
+    values = [sum(c * w for c, w in zip(coeffs, f)) % system.ctx.m ** n
+              for f in forms]
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(keyed_systems(), st.data())
+def test_linear_key_and_digit_prefix_give_one_partition(case, data):
+    system, n = case
+    ctx = system.ctx
+    width = ctx.D + 1
+    mK = ctx.mod.mK
+    r = [ctx.m] + [-q for q in system._qsum[:ctx.D]]
+    small = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    samples = []
+    for q in data.draw(st.lists(exponents(system), min_size=1, max_size=6)):
+        samples.append(q)
+        # the same class: add r*A, m^K*B and x^n*C
+        a, b, c = data.draw(small), data.draw(small), data.draw(small)
+        ra = poly_mul(r, a, width)
+        samples.append(tuple(
+            v + w + mK * u + (t if d >= n else 0)
+            for d, (v, w, u, t) in enumerate(zip(q, ra, b, c))))
+    keys = [linear_key(system, q, n) for q in samples]
+    digits = [system.exponent_digits(q, n) for q in samples]
+    for i, j in itertools.combinations(range(len(samples)), 2):
+        assert (keys[i] == keys[j]) == (digits[i] == digits[j])
+    for q, k, d in zip(samples, keys, digits):
+        assert linear_key(system, d, n) == k
+    if gcd(system._qsum[0], ctx.m) == 1 or n == 1:
+        assert len(system.key_forms(n)) == 1
+    if ctx.m ** n <= 1024:
+        # injective on the canonical digit tuples, one per class
+        every = itertools.product(range(ctx.m), repeat=n)
+        assert len({linear_key(system, d, n) for d in every}) == ctx.m ** n
+
+
+@settings(max_examples=80, deadline=None)
+@given(keyed_systems(), st.data())
+def test_derived_child_keys_are_the_keys_of_the_built_children(case, data):
+    system, depth = case
+    depth = min(depth, system.ctx.L)
+    q = data.draw(exponents(system))
+    c, kids = system._exponent_children(q)
+    keys, build = closure._fold_children(system, depth)(q)
+    assert len(keys) == system.ctx.m
+    for y, kid in enumerate(kids):
+        assert build(y) == kid
+        assert keys[y] == closure._fold_key(system, kid, depth)
+        assert keys[y] == linear_key(system, kid, depth)
+
+
+def test_one_digit_adding_machine_closure():
+    # relator_parts rejects K = 1, so the digit-keyed walk raised here;
+    # the generic engine answers e, g (its recurrence witness differs: it
+    # dedupes candidates by depth-1 portrait and drops g^2 for e)
+    ctx = Context(2, K=1, D=1, L=1)
+    fold = FoldSystem(ctx, "g", [0, 1], "(1 2)").generator()
+    generic = System(ctx)
+    g = generic.gen("g")
+    generic.define("g", Permutation.from_cycles("(1 2)", 2), ["e", g])
+    got, want = state_closure([fold]).to_json(), state_closure([g]).to_json()
+    assert got["states"] == want["states"] == ["e", "g"]
+    assert got.pop("recurrent_witnessed") is True
+    want.pop("recurrent_witnessed")
+    assert got == want

@@ -1,7 +1,7 @@
 """Fold saturation on exponent tuples, against the word walk it replaced.
 
 `state_closure` walks a fold system's closure on plain coefficient tuples:
-children come from `FoldSystem._exponent_children` (prefix sums along the
+children come from `FoldSystem._exponent_child` (prefix sums along the
 root cycle) and states are keyed by `closure._fold_key`.  The oracles kept
 here are the breadth-first walk over `AutExpr` words, the c-step walk along
 the cycle for the child exponents, the generic `System` engine with states

@@ -3,7 +3,8 @@
 Library guards must hold under `python -O`, which strips `assert`, so any
 `assert` statement fails; a guard is an explicit check that raises a named
 exception.  Cache bounds are enforced in one place, `Memo.put`, so any
-other comparison that reads a bound fails too.
+other comparison that reads a bound fails too.  The closure walk keys fold
+states without the digit carry pass, which stays an independent oracle.
 """
 
 import ast
@@ -61,3 +62,19 @@ def test_cache_bounds_are_compared_only_in_memo_put():
                     found.append("%s:%d" % (name, node.lineno))
     assert found == []
     assert in_put == 1
+
+
+def test_closure_never_calls_the_digit_oracle():
+    # exponent_digits and reduce_digits check the closure walk's linear
+    # keys, so the walk must not reach them
+    (tree,) = [tree for name, tree in parsed_modules()
+               if name == "closure.py"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if called in ("exponent_digits", "reduce_digits"):
+                found.append("closure.py:%d" % node.lineno)
+    assert found == []
