@@ -459,7 +459,7 @@ def as_machine(expr, depth=None):
     """
     system = expr.system
     ctx = system.ctx
-    depth = ctx.L if depth is None else depth
+    depth = ctx.depth(depth)
 
     def key(e):
         return _state_key(system, e, depth)

@@ -1112,15 +1112,17 @@ class FoldSystem(System):
 
         and by induction s_i = m^(n-1-i) * u_i with u_0 = 1 and
         u_i = sum q_(t-1) m^(t-1) u_(i-t), so every division is exact.
-        The digit prefix of Q is the class of Q in Z[x]/(r, x^n), a group
-        of order m^n (multiplication by r on Z[x]/(x^n) is triangular with
-        determinant m^n).  Claim: Q lies in (r, x^n) exactly when
-        Q*s = 0 mod (x^n, m^n).  If Q = r*A + x^n*B, then Q*s = m^n*A mod
-        x^n.  Conversely, if Q*s = m^n*A mod x^n, multiplying by r gives
-        m^n*Q = m^n*r*A mod x^n, and Z[x]/(x^n) has no torsion, so
-        Q = r*A mod x^n.  So the n coefficients of Q*s mod x^n, each taken
-        mod m^n, are a complete invariant; form i holds s_i, ..., s_0 as
-        the weights of Q_0, ..., Q_i.
+        The digit prefix of Q names the class of Q in Z[x]/(r, x^n), a
+        group of order m^n (multiplication by r on Z[x]/(x^n) is
+        triangular with determinant m^n): the carry pass finds a digit
+        tuple in every class, and there are m^n of both.  Claim: Q lies
+        in (r, x^n) exactly when Q*s = 0 mod (x^n, m^n).  If
+        Q = r*A + x^n*B, then Q*s = m^n*A mod x^n.  Conversely, if
+        Q*s = m^n*A mod x^n, multiplying by r gives m^n*Q = m^n*r*A mod
+        x^n, and Z[x]/(x^n) has no torsion, so Q = r*A mod x^n.  So the
+        n coefficients of Q*s mod x^n, each taken mod m^n, are a complete
+        invariant; form i holds s_i, ..., s_0 as the weights of
+        Q_0, ..., Q_i.
         When gcd(q(0), m) = 1 the top form alone is complete: it is a
         homomorphism from the class group, of order m^n, to Z/m^n, and it
         sends 1 to s_(n-1) = u_(n-1) = q(0)^(n-1) mod m, a unit, so it is
