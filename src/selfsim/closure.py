@@ -26,8 +26,8 @@ from operator import mul
 
 from .adic import PowerSeries
 from .tree import (
-    AutExpr, Context, NotAbelian, Permutation, Portrait, ShapeMismatch, System,
-    _uniform_portrait,
+    AutExpr, Context, ContextError, NotAbelian, Permutation, Portrait,
+    ShapeMismatch, System, _uniform_portrait,
 )
 
 ENUM_CAP = 10000
@@ -68,9 +68,7 @@ def _form_values(forms, coeffs):
 
 
 def _reduced(values, M):
-    """The key from form values: an int for one form, else a tuple."""
-    if len(values) == 1:
-        return values[0] % M
+    """The key from form values: each taken mod M."""
     return tuple([v % M for v in values])
 
 
@@ -83,30 +81,26 @@ def _fold_children(system, depth):
     """children(Q) for _walk on the exponent tuples of a fold system.
 
     The key is linear, so the child at source y of g^Q, Q_0 = c + m*xi,
-    has key phi(P[c][y]) + xi*phi(qsum) + phi(Q_1, Q_2, ...); the first
-    two are tabled here, once per walk, and the third is one dot product
-    per form for all m children.
+    has key phi(P[c][y]) + xi*phi(qsum) + phi(Q_1, Q_2, ...).  The first
+    term is tabled here, once per walk, as table[c][f][y] for form f; the
+    other two are, per form, one dot product of (xi, Q_1, Q_2, ...) with
+    (phi(qsum), f), shared by all m children.
     """
     m = system.ctx.m
     forms, M = _fold_forms(system, depth)
-    table = [[_form_values(forms, p) for p in row] for row in system._prefix]
-    qsum = _form_values(forms, system._qsum)
+    table = [list(zip(*[_form_values(forms, p) for p in row]))
+             for row in system._prefix]
+    weights = [(v,) + f for v, f in
+               zip(_form_values(forms, system._qsum), forms)]
     child = system._exponent_child
-    if len(forms) == 1:
-        (form,), (phi_q,) = forms, qsum
-        table = [[v for (v,) in row] for row in table]
 
-        def children(q):
-            xi, c = divmod(q[0], m)
-            base = xi * phi_q + sum(map(mul, q[1:], form))
-            return [(v + base) % M for v in table[c]], partial(child, q)
-    else:
-        def children(q):
-            xi, c = divmod(q[0], m)
-            tail = _form_values(forms, q[1:])
-            base = [xi * b + t for b, t in zip(qsum, tail)]
-            return ([tuple([(v + b) % M for v, b in zip(row, base)])
-                     for row in table[c]], partial(child, q))
+    def children(q):
+        xi, c = divmod(q[0], m)
+        z = (xi,) + q[1:]
+        bases = [sum(map(mul, z, w)) for w in weights]
+        keys = zip(*[[(v + b) % M for v in col]
+                     for col, b in zip(table[c], bases)])
+        return keys, partial(child, q)
     return children
 
 
@@ -407,6 +401,11 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
     seeds = [system.identity()] + list(generators)
     overflow = "more than %d states at depth %d" % (max_states, depth)
     if system.foldable:
+        if ctx.K < 2:
+            # one digit of each p_y does not fix the closure: at m = 4,
+            # p = (0, 0, -1, -1) and (0, 0, 3, 3) make one K = 1 system, yet
+            # their generators have 3 and 4 states to depth 1
+            raise ContextError("need K >= 2 for a fold state closure")
         exponents = [system._exponent(g.word) for g in seeds]
         kept = _walk(
             exponents, _fold_children(system, depth),

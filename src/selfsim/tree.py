@@ -1131,7 +1131,8 @@ class FoldSystem(System):
         Only Q mod m^n matters, and the ideal (r, x^n) contains m^n
         (m = x*q mod r, so m^n = x^n*q^n), so for n <= K the mod-m^K lifts
         of Q and of q give the same classes; the forms are built from the
-        lifts _qsum, with no relator split, so K = 1 needs no special case.
+        lifts _qsum, with no relator split, so the forms need no special
+        case at K = 1 (state_closure still rejects fold closures there).
         """
         if not 1 <= n <= self.ctx.K:
             raise DepthExceeded(
@@ -1193,14 +1194,11 @@ class FoldSystem(System):
     def _exponent_children(self, coeffs):
         """(c, child exponents) of g^coeffs: its root is sigma^c.
 
-        All m children of _exponent_child at once, sharing the shift
-        qsum*xi + Q' (atom decompositions need every child).
+        Atom decompositions need every child; see _exponent_child.
         """
-        mK = self.ctx.mod.mK
-        xi, c = divmod(coeffs[0], self.ctx.m)
-        shift = [q * xi + t for q, t in zip(self._qsum, coeffs[1:] + (0,))]
-        return c, tuple([tuple([(p + s) % mK for p, s in zip(prefix, shift)])
-                         for prefix in self._prefix[c]])
+        m = self.ctx.m
+        return coeffs[0] % m, tuple([
+            self._exponent_child(coeffs, y) for y in range(m)])
 
     def _atom_decompose(self, atom):
         hit = self._atom_memo.get(atom)

@@ -180,6 +180,23 @@ def test_closure_dedupe_guard(monkeypatch):
         state_closure([a, twin])
 
 
+def test_closure_dedupe_guard_on_walked_states(monkeypatch):
+    # the same guard when a finer key (form values mod m^(n+1), not m^n)
+    # reaches the child keys the walk derives: g^{2 + x}, a state of
+    # g^{1 + x}, gets in although it equals e to depth 4
+    g = FoldSystem(Context(2, K=4, D=4, L=4), "g", [0, "1 + x"],
+                   "(1 2)").generator()
+    fold_forms = closure._fold_forms
+
+    def finer(system, depth):
+        forms, M = fold_forms(system, depth)
+        return forms, M * system.ctx.m
+
+    monkeypatch.setattr(closure, "_fold_forms", finer)
+    with pytest.raises(DedupeCollision, match="e and g\\^{2 \\+ x}"):
+        state_closure([g])
+
+
 def test_closure_json_shape():
     ctx, sys, a = example_m4()
     obj = state_closure([a]).to_json()

@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 from selfsim import closure
 from selfsim.adic import PowerSeries, reduce_mod_r
 from selfsim.closure import state_closure
-from selfsim.tree import AutExpr, Context, FoldSystem, Permutation, System
+from selfsim.tree import (
+    AutExpr, Context, ContextError, FoldSystem, Permutation, System,
+)
 
 
 @st.composite
@@ -139,9 +141,8 @@ def poly_mul(a, b, width):
 
 def linear_key(system, coeffs, n):
     forms = system.key_forms(n)
-    values = [sum(c * w for c, w in zip(coeffs, f)) % system.ctx.m ** n
-              for f in forms]
-    return values[0] if len(values) == 1 else tuple(values)
+    return tuple(sum(c * w for c, w in zip(coeffs, f)) % system.ctx.m ** n
+                 for f in forms)
 
 
 @settings(max_examples=120, deadline=None)
@@ -184,6 +185,7 @@ def test_derived_child_keys_are_the_keys_of_the_built_children(case, data):
     q = data.draw(exponents(system))
     c, kids = system._exponent_children(q)
     keys, build = closure._fold_children(system, depth)(q)
+    keys = list(keys)
     assert len(keys) == system.ctx.m
     for y, kid in enumerate(kids):
         assert build(y) == kid
@@ -191,17 +193,43 @@ def test_derived_child_keys_are_the_keys_of_the_built_children(case, data):
         assert keys[y] == linear_key(system, kid, depth)
 
 
-def test_one_digit_adding_machine_closure():
-    # relator_parts rejects K = 1, so the digit-keyed walk raised here;
-    # the generic engine answers e, g (its recurrence witness differs: it
-    # dedupes candidates by depth-1 portrait and drops g^2 for e)
-    ctx = Context(2, K=1, D=1, L=1)
-    fold = FoldSystem(ctx, "g", [0, 1], "(1 2)").generator()
-    generic = System(ctx)
-    g = generic.gen("g")
-    generic.define("g", Permutation.from_cycles("(1 2)", 2), ["e", g])
-    got, want = state_closure([fold]).to_json(), state_closure([g]).to_json()
-    assert got["states"] == want["states"] == ["e", "g"]
-    assert got.pop("recurrent_witnessed") is True
-    want.pop("recurrent_witnessed")
-    assert got == want
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_one_digit_fold_closures_raise(m, data):
+    # K = 1 keeps each p_y mod m only, which does not fix the closure (see
+    # the next test), so every fold closure there raises, whatever it gets
+    ctx = Context(m, K=1, D=1, L=1)
+    cycle = [1] + data.draw(st.permutations(range(2, m + 1)))
+    coeffs = st.lists(st.integers(-m * m, m * m), max_size=2)
+    exps = [PowerSeries(ctx.mod, ctx.D, data.draw(coeffs)) for _ in range(m)]
+    system = FoldSystem(ctx, "g", exps, Permutation.from_cycles([cycle], m))
+    power = AutExpr(system, (("g", data.draw(exponents(system))),))
+    for gens in ([system.generator()], [power], [system.generator(), power]):
+        with pytest.raises(ContextError, match="need K >= 2"):
+            state_closure(gens)
+
+
+def test_one_digit_does_not_fix_the_closure():
+    # the generic engine keeps exact exponents: p = (0, 0, -1, -1) and
+    # (0, 0, 3, 3) give one fold system at K = 1, yet their generators
+    # have 3 and 4 states to depth 1; with a second digit the fold walk
+    # tells them apart and agrees with the generic engine
+    counts = {}
+    for K in (1, 2):
+        ctx = Context(4, K=K, D=1, L=1)
+        for ps in ((0, 0, -1, -1), (0, 0, 3, 3)):
+            generic = System(ctx)
+            g = generic.gen("g")
+            generic.define("g", "(1 2 3 4)",
+                           ["e" if p == 0 else g ** p for p in ps])
+            fold = FoldSystem(ctx, "g", list(ps), "(1 2 3 4)")
+            counts[K, ps] = (state_closure([g]).state_count(),
+                             fold._defs)
+            if K == 2:
+                assert (state_closure([fold.generator()]).state_count()
+                        == counts[K, ps][0])
+    one, three = counts[1, (0, 0, -1, -1)], counts[1, (0, 0, 3, 3)]
+    assert one[1] == three[1]
+    assert (one[0], three[0]) == (3, 4)
+    assert counts[2, (0, 0, -1, -1)][0] == 3
+    assert counts[2, (0, 0, 3, 3)][0] == 4
