@@ -21,7 +21,6 @@ the determinant relator of the resulting presentation matrix.
 """
 
 import itertools
-from functools import partial
 from operator import mul
 
 from .adic import PowerSeries
@@ -80,27 +79,23 @@ def _fold_key(system, coeffs, depth):
 def _fold_children(system, depth):
     """children(Q) for _walk on the exponent tuples of a fold system.
 
-    The key is linear, so the child at source y of g^Q, Q_0 = c + m*xi,
-    has key phi(P[c][y]) + xi*phi(qsum) + phi(Q_1, Q_2, ...).  The first
-    term is tabled here, once per walk, as table[c][f][y] for form f; the
-    other two are, per form, one dot product of (xi, Q_1, Q_2, ...) with
-    (phi(qsum), f), shared by all m children.
+    The child of g^Q at source y has exponent P[c][y] + shift, with c and
+    shift from FoldSystem._exponent_shift.  The key is linear, so that
+    child's key is phi(P[c][y]) + phi(shift): the first term is tabled
+    here, once per walk, as table[c][f][y] for form f, and the second is
+    one dot product per form, shared by all m children.
     """
-    m = system.ctx.m
     forms, M = _fold_forms(system, depth)
+    prefix = system._prefix
     table = [list(zip(*[_form_values(forms, p) for p in row]))
-             for row in system._prefix]
-    weights = [(v,) + f for v, f in
-               zip(_form_values(forms, system._qsum), forms)]
-    child = system._exponent_child
+             for row in prefix]
+    shift_of, child = system._exponent_shift, system._exponent_child
 
     def children(q):
-        xi, c = divmod(q[0], m)
-        z = (xi,) + q[1:]
-        bases = [sum(map(mul, z, w)) for w in weights]
+        c, shift = shift_of(q)
         keys = zip(*[[(v + b) % M for v in col]
-                     for col, b in zip(table[c], bases)])
-        return keys, partial(child, q)
+                     for col, b in zip(table[c], _form_values(forms, shift))])
+        return keys, lambda i: child(prefix[c][i], shift)
     return children
 
 

@@ -1179,26 +1179,26 @@ class FoldSystem(System):
                 raise KeyError("undefined generator %r" % name)
         return word[0][1] if word else self._zero_coeffs()
 
-    def _exponent_child(self, coeffs, y):
-        """The child exponent of g^coeffs at source y + 1 (0-based y).
+    def _exponent_shift(self, coeffs):
+        """(c, shift) of g^coeffs: its root is sigma^c, and its child at
+        source y + 1 (0-based y) is _exponent_child(P[c][y], shift).
 
-        Unmemoized: (P[c][y] + qsum*xi + Q') mod m^K, where v = c + m*xi
-        is the constant coefficient and Q' the higher coefficients shifted
-        down one degree.
+        shift = qsum*xi + Q', where v = c + m*xi is the constant coefficient
+        and Q' the higher coefficients shifted down one degree.
         """
-        mK = self.ctx.mod.mK
         xi, c = divmod(coeffs[0], self.ctx.m)
-        return tuple([(p + q * xi + t) % mK for p, q, t in zip(
-            self._prefix[c][y], self._qsum, coeffs[1:] + (0,))])
+        return c, [q * xi + t for q, t in zip(self._qsum, coeffs[1:] + (0,))]
+
+    def _exponent_child(self, prefix, shift):
+        """Unmemoized: the child exponent (P[c][y] + shift) mod m^K."""
+        mK = self.ctx.mod.mK
+        return tuple([(p + s) % mK for p, s in zip(prefix, shift)])
 
     def _exponent_children(self, coeffs):
-        """(c, child exponents) of g^coeffs: its root is sigma^c.
-
-        Atom decompositions need every child; see _exponent_child.
-        """
-        m = self.ctx.m
-        return coeffs[0] % m, tuple([
-            self._exponent_child(coeffs, y) for y in range(m)])
+        """(c, child exponents) of g^coeffs, all m (atoms need every one)."""
+        c, shift = self._exponent_shift(coeffs)
+        return c, tuple([self._exponent_child(p, shift)
+                         for p in self._prefix[c]])
 
     def _atom_decompose(self, atom):
         hit = self._atom_memo.get(atom)
