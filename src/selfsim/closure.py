@@ -56,9 +56,8 @@ class ZetaUnbounded(ArithmeticError):
 # ------------------------------------------------------------- saturation
 
 def _fold_forms(system, depth):
-    """(forms, m^n) of FoldSystem.key_forms at n = min(depth, D + 1)."""
-    n = min(depth, system.ctx.D + 1)
-    return system.key_forms(n), system.ctx.m ** n
+    """(forms, m^n) of FoldSystem.key_table at n = min(depth, D + 1)."""
+    return system.key_table(min(depth, system.ctx.D + 1))
 
 
 def _form_values(forms, coeffs):
@@ -351,12 +350,17 @@ def _fold_recurrence_witness(system, generators, exponents, depth):
 
 
 def _recurrence_witness(system, generators, states, depth):
-    """Look for stabilizer elements whose first state hits each generator."""
+    """Look for stabilizer elements whose first state hits each generator.
+
+    Candidates are deduplicated by what is compared: their first-letter
+    states at the probe depth.
+    """
     generators = [g for g in generators if not g.is_identity(depth)]
     if not generators:
         return True
     candidates = []
     seen = set()
+    probe = max(1, depth - 1)
     pool = list(states) + [s.inverse() for s in states]
     for scanned, expr in enumerate(itertools.chain(
             pool, (a * b for a, b in itertools.product(pool, repeat=2)))):
@@ -365,12 +369,12 @@ def _recurrence_witness(system, generators, states, depth):
         root = expr.root()
         if root.apply(1) != 1:
             continue
-        key = _state_key(system, expr, depth)
+        state = expr.state([1])
+        key = _state_key(system, state, probe)
         if key in seen:
             continue
         seen.add(key)
-        candidates.append(expr.state([1]))
-    probe = max(1, depth - 1)
+        candidates.append(state)
     for g in generators:
         if not any(c.equal_to_depth(g, probe) for c in candidates):
             return False

@@ -24,6 +24,7 @@ require K >= L and D >= L: depth-L observations are then exact.
 import os
 import re
 from math import gcd, lcm
+from operator import mul
 
 from .adic import MAdicInt, Modulus, PowerSeries, reduce_digits, relator_parts
 
@@ -1032,6 +1033,7 @@ class FoldSystem(System):
         self._annihilator = PowerSeries(
             ctx.mod, ctx.D, [ctx.m] + [-v for v in self._qsum[:ctx.D]])
         self._relator = None   # (q lifts, j) of the annihilator, on first use
+        self._key_tables = Memo(ctx.K)   # n -> (key_forms(n), m^n)
         entry_words = []
         for lifts in self._plifts:
             entry_words.append(
@@ -1147,6 +1149,13 @@ class FoldSystem(System):
                       for i in range(n))
         return forms[-1:] if gcd(q[0], m) == 1 else forms
 
+    def key_table(self, n):
+        """(key_forms(n), m^n), built on first use and kept per depth."""
+        hit = self._key_tables.get(n)
+        if hit is not None:
+            return hit
+        return self._key_tables.put(n, (self.key_forms(n), self.ctx.m ** n))
+
     def _const_decompose(self, name, n):
         raise AssertionError("fold systems decompose atoms directly")
 
@@ -1211,6 +1220,35 @@ class FoldSystem(System):
         return self._atom_memo.put(atom, (
             self._sigma_powers[c],
             tuple(((name, q),) if any(q) else () for q in kids)))
+
+    def _portrait(self, word, depth):
+        """The depth-d portrait of g^Q, memoized by the linear key of Q.
+
+        g^Q and g^Q' agree to depth d exactly when Q - Q' lies in (r, x^d)
+        (see the class docstring), and the values of key_forms(d) mod m^d
+        tell those classes apart; key_forms's argument for the mod-m^K
+        lifts holds because d <= L <= K.  The fold expansion below
+        consumes one of the K scalar digits per level, so it is exact to
+        depth d <= K: every exponent of one class expands to one portrait,
+        and the memo holds a node per (depth, key), at most m^d per depth
+        however many words share them.  _is_identity and _word_decompose
+        keep their word keys, so the closure's DedupeCollision check stays
+        independent of this key.
+        """
+        return self._exponent_portrait(self._exponent(word), depth)
+
+    def _exponent_portrait(self, coeffs, depth):
+        forms, M = self.key_table(depth)
+        key = (depth,) + tuple([sum(map(mul, coeffs, f)) % M for f in forms])
+        hit = self._portrait_memo.get(key)
+        if hit is not None:
+            return hit
+        c, shift = self._exponent_shift(coeffs)
+        kids = () if depth == 1 else tuple([
+            self._exponent_portrait(self._exponent_child(p, shift), depth - 1)
+            for p in self._prefix[c]])
+        return self._portrait_memo.put(
+            key, Portrait.make(self._sigma_powers[c], kids))
 
     def _pow_series(self, expr, q):
         # exponents of one abelian generator multiply straight through

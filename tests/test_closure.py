@@ -144,6 +144,20 @@ def test_closure_generic_machine_and_certification():
     assert rep.recurrent_witnessed
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_binary_adding_machine_recurrence_at_shallow_depths(depth):
+    # witness candidates are told apart by their first-letter states at the
+    # depth those are compared at; keyed by their own portraits instead,
+    # g^2 (trivial to depth 1, state g) was dropped as a copy of e at depth 1
+    ctx = Context(2, K=4, D=4, L=4)
+    generic = System(ctx)
+    g = generic.gen("g")
+    generic.define("g", "(1 2)", ["e", g])
+    fold = FoldSystem(ctx, "g", [0, 1], "(1 2)").generator()
+    assert state_closure([g], depth=depth).recurrent_witnessed
+    assert state_closure([fold], depth=depth).recurrent_witnessed
+
+
 def test_closure_overflow():
     ctx = Context(2, K=8, D=8, L=8)
     sys = System(ctx)

@@ -7,10 +7,13 @@ series.  The closure walk keys states by the linear invariant of
 `key_forms` instead; its oracle is the digit prefix, and each child key
 the walk derives from its parent must equal the key of the built child.
 A FoldSystem also decomposes one-atom words straight through
-`_atom_decompose`; the oracle is the generic `System` word engine.
+`_atom_decompose`; the oracle is the generic `System` word engine.  Its
+portraits are memoized by the same linear key; their oracle is the
+word-memo expansion `System._portrait`.
 """
 
 import itertools
+import types
 from math import gcd
 
 import pytest
@@ -21,6 +24,7 @@ from selfsim.adic import PowerSeries, reduce_mod_r
 from selfsim.closure import state_closure
 from selfsim.tree import (
     AutExpr, Context, ContextError, FoldSystem, Permutation, System,
+    level_perm_fast,
 )
 
 
@@ -233,3 +237,72 @@ def test_one_digit_does_not_fix_the_closure():
     assert (one[0], three[0]) == (3, 4)
     assert counts[2, (0, 0, -1, -1)][0] == 3
     assert counts[2, (0, 0, 3, 3)][0] == 4
+
+
+# -------------------------------------------------------- keyed portraits
+
+def rebuilt(system, word_engine=False):
+    """The same fold system on a new context, so SELFSIM_CACHE is read
+    again; with word_engine, every portrait, children included, is the
+    word-memo expansion System._portrait through _word_decompose."""
+    old = system.ctx
+    ctx = Context(old.m, K=old.K, D=old.D, L=old.L)
+    twin = FoldSystem(ctx, system.name, [
+        PowerSeries(ctx.mod, ctx.D, p.lifts()) for p in system.exponents],
+        system.sigma)
+    if word_engine:
+        twin._portrait = types.MethodType(System._portrait, twin)
+    return twin
+
+
+def same_class(system, q, depth, data):
+    """q + r*A + m^K*B + x^depth*C: one class of Z[x]/(r, x^depth)."""
+    ctx = system.ctx
+    width = ctx.D + 1
+    small = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    r = [ctx.m] + [-v for v in system._qsum[:ctx.D]]
+    ra = poly_mul(r, data.draw(small), width)
+    b, c = data.draw(small), data.draw(small)
+    return tuple(v + w + ctx.mod.mK * u + (t if d >= depth else 0)
+                 for d, (v, w, u, t) in enumerate(zip(q, ra, b, c)))
+
+
+def keyed_portraits(system, samples):
+    """Each sample's portrait at every depth, and the generator's level
+    permutations from its portraits."""
+    L = system.ctx.L
+    g = system.generator()
+    return ([system._portrait((("g", q),), d)
+             for q in samples for d in range(L, 0, -1)],
+            [g.portrait(l).level_perm(l) for l in range(1, L + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(keyed_systems(), st.data())
+def test_keyed_portraits_match_the_word_expansion(case, data):
+    system = case[0]
+    L = system.ctx.L
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("SELFSIM_CACHE", raising=False)
+        system = rebuilt(system)
+        oracle = rebuilt(system, word_engine=True)
+        samples = data.draw(st.lists(exponents(system), min_size=1,
+                                     max_size=4))
+        want, perms = keyed_portraits(system, samples)
+        got = [oracle._portrait((("g", q),), d)
+               for q in samples for d in range(L, 0, -1)]
+        assert [a is b for a, b in zip(want, got)] == [True] * len(got)
+        assert perms == [system.level_perm_fast(l) for l in range(1, L + 1)]
+        assert perms[-1] == level_perm_fast(system.generator(), L)
+        # an exponent of the same class at depth d is a memo hit there
+        for q in samples:
+            d = data.draw(st.integers(1, L))
+            node = system._portrait((("g", q),), d)
+            size = len(system._portrait_memo)
+            twin = same_class(system, q, d, data)
+            assert system._portrait((("g", twin),), d) is node
+            assert len(system._portrait_memo) == size
+        patch.setenv("SELFSIM_CACHE", "1")
+        bounded = rebuilt(system)
+        assert bounded._portrait_memo.cap == 1
+        assert keyed_portraits(bounded, samples) == (want, perms)

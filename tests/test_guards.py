@@ -5,6 +5,8 @@ Library guards must hold under `python -O`, which strips `assert`, so any
 exception.  Cache bounds are enforced in one place, `Memo.put`, so any
 other comparison that reads a bound fails too.  The closure walk keys fold
 states without the digit carry pass, which stays an independent oracle.
+Fold portraits are memoized by the same linear key, so the word expansion
+behind the closure's DedupeCollision check must not reach that key.
 """
 
 import ast
@@ -78,3 +80,32 @@ def test_closure_never_calls_the_digit_oracle():
             if called in ("exponent_digits", "reduce_digits"):
                 found.append("closure.py:%d" % node.lineno)
     assert found == []
+
+
+def called_names(fn):
+    """Names of everything fn calls, as attributes or plain names."""
+    return {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            for f in (n.func for n in ast.walk(fn) if isinstance(n, ast.Call))}
+
+
+def test_word_expansion_never_reaches_the_portrait_key():
+    # _is_identity and _word_decompose back the DedupeCollision spot check
+    # of the linear key, so nothing they call, directly or through other
+    # System or FoldSystem methods, may read key_forms or keyed portraits
+    (tree,) = [tree for name, tree in parsed_modules() if name == "tree.py"]
+    calls = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in ("System",
+                                                          "FoldSystem"):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    calls.setdefault(fn.name, set()).update(called_names(fn))
+    reached, frontier = set(), ["_is_identity", "_word_decompose"]
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(calls.get(name, ()))
+    assert "_atom_decompose" in reached
+    assert reached.isdisjoint(
+        ("key_forms", "key_table", "_portrait", "_exponent_portrait"))
