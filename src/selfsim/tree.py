@@ -18,7 +18,10 @@ and unfolds words by the product rule; a FoldSystem holds one generator
 g = (g^{p_1}, ..., g^{p_m})s with s an m-cycle, whose state-closure is
 abelian, and folds whole power-series exponents in one step.  The fold
 consumes one scalar digit of precision per level, which is why contexts
-require K >= L and D >= L: depth-L observations are then exact.
+require K >= L and D >= L: depth-L observations are then exact.  Fold
+portraits are memoized by the linear key of the exponent's class in
+Z[x]/(r, x^d), so their cost follows the at most m^d classes per depth,
+not the number of exponent words.
 """
 
 import os
@@ -999,7 +1002,9 @@ class FoldSystem(System):
     pass, kept as the oracle) and the linear key of key_forms, a few dot
     products with weights fixed per depth.  Because the linear key is
     additive, the closure walk derives every child's key from its parent
-    and builds only the children whose key is new.
+    and builds only the children whose key is new.  Portraits are memoized
+    by the same key (_portrait), one node per depth and class; the forms
+    of each depth are built once per system (key_table).
     """
 
     foldable = True
