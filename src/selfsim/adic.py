@@ -18,6 +18,28 @@ import re
 from math import gcd
 
 
+class Memo(dict):
+    """A memo table that empties itself once it holds more than cap entries.
+
+    Every memo table that outlives a single call is a Memo, so put is
+    the one place where a cache bound is compared.  Emptying only loses
+    entries; callers recompute what they miss.  It lives in this module,
+    which every other module imports, and tree re-exports it.
+    """
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    def put(self, key, value):
+        """Store value under key and return it."""
+        if len(self) > self.cap:
+            self.clear()
+        self[key] = value
+        return value
+
+
 class ContextMismatch(ValueError):
     pass
 
@@ -400,6 +422,17 @@ def relator_parts(r):
     return PowerSeries(mod, r.D), 0
 
 
+_splits = Memo(1024)   # relator series -> relator_parts of it
+
+
+def split_relator(r):
+    """relator_parts(r), computed once per relator series and kept."""
+    hit = _splits.get(r)
+    if hit is None:
+        hit = _splits.put(r, relator_parts(r))
+    return hit
+
+
 class QuotientElement(object):
     """Canonical residue in Z_m[[x]]/(m - q*x^j), digits in [0, m)."""
 
@@ -474,7 +507,7 @@ def reduce_mod_r(coeffs, r):
     coeffs may be a PowerSeries, a plain integer (a constant), or a sequence
     of integers indexed by degree.
     """
-    q, j = relator_parts(r)
+    q, j = split_relator(r)
     mod = r.mod
     if isinstance(coeffs, PowerSeries):
         if coeffs.mod != mod or coeffs.D != r.D:
@@ -499,7 +532,7 @@ def congruence_exponent(r, p, k):
     mod = r.mod
     if mod.m != p ** k:
         raise ContextMismatch("modulus %d is not %d^%d" % (mod.m, p, k))
-    q, j = relator_parts(r)
+    q, j = split_relator(r)
     l, u, t = unit_decompose(q, p)
     if j + l > r.D:
         raise ContextMismatch("degree bound %d too small for exponent %d" % (r.D, j + l))
@@ -519,7 +552,7 @@ def congruence_exponent(r, p, k):
 def _component_relator(r, p, k, K):
     """Project r = m - q*x^j into the p^k component, normalized to p^k - q'*x^j."""
     mod = r.mod
-    q, j = relator_parts(r)
+    q, j = split_relator(r)
     sub = Modulus(p ** k, K)
     v = mod.m // (p ** k)
     v_inv = pow(v, -1, sub.mK)

@@ -21,13 +21,15 @@ optional integer power (``a^3``), series power (``a^{2 - x}``), and
 diagonal shift (``a@2``).  ``e`` is the identity.
 
 Exit codes: 0 success, 1 a verification check failed, 2 parse or name
-errors, 3 context errors (arity or depth bounds), 4 arithmetic errors.
+errors, 3 context errors (arity or depth bounds), 4 arithmetic errors,
+141 standard output closed by its reader.
 The SELFSIM_CACHE environment variable, a positive integer, bounds
 per-system caches.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -44,6 +46,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_CONTEXT = 3
 EXIT_MATH = 4
+EXIT_PIPE = 141   # 128 + SIGPIPE: stdout was closed by its reader
 
 _STATE_CAP = 200  # represent: most machine states listed before truncating
 
@@ -894,9 +897,22 @@ def main(argv=None):
     except ContextError as exc:
         print("selfsim: %s" % exc, file=sys.stderr)
         return EXIT_CONTEXT
-    if args.command == "verify":
-        return _run_verify(args, sys.stdout, sys.stderr)
-    return _run_script(args, sys.stdout, sys.stderr)
+    try:
+        if args.command == "verify":
+            code = _run_verify(args, sys.stdout, sys.stderr)
+        else:
+            code = _run_script(args, sys.stdout, sys.stderr)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`selfsim verify all | head -c 10`); send
+        # the rest, and the flush at exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):   # a stream with no file descriptor
+            sys.stdout = os.fdopen(devnull, "w")
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -103,6 +103,30 @@ def _built(items, key):
     return [key(item) for item in items], items.__getitem__
 
 
+def _word_portraits(system, exprs, depth):
+    """The depth-d portraits of exprs, one at a time, on the word path.
+
+    Nodes come from system._word_decompose alone, memoized per (word,
+    depth) for this call and interned by Portrait.make; the keyed portrait
+    memo of a fold system is never read, so comparing these nodes checks
+    the linear key independently.  Equal words share a node, but words of
+    one class are expanded apart, so the cost grows with the distinct
+    words below the states and callers cap how many states they pass.
+    """
+    memo = {}
+
+    def expand(word, d):
+        node = memo.get((word, d))
+        if node is None:
+            root, children = system._word_decompose(word)
+            node = memo[word, d] = Portrait.make(root, () if d == 1 else tuple(
+                [expand(w, d - 1) for w in children]))
+        return node
+
+    for expr in exprs:
+        yield expand(expr.word, depth)
+
+
 def _state_key(system, expr, depth):
     if system.foldable:
         return _fold_key(system, system._exponent(expr.word), depth)
@@ -287,16 +311,24 @@ def _fold_abelian_depth(system, depth):
     factors strictly in definition order and never calls the fold engine;
     their pairwise commutation therefore certifies both the abelian claim
     and the engine's exponent merging to depth s without assuming either.
-    The cost follows the distinct portrait nodes, not the m^s vertices.
+    All those comparisons walk one portrait DAG, so they share one memo of
+    node products: the cost follows the distinct node pairs compared over
+    the whole certificate, not the m^s vertices, nor each pair's own
+    subtrees again.  The tops and their suspended copies are kept in lists
+    for as long as that memo, which is keyed on node ids.
     Returns the largest s <= depth such that every level up to s passes.
     """
     levels = [None]
+    copies = []
+    memo = {}
     for s in range(1, depth + 1):
         top = _level_portrait(system, levels)
         levels.append(top)
-        if not all(_commutes(top, levels[s - t].suspended(t))
-                   for t in range(1, s)):
-            return s - 1
+        for t in range(1, s):
+            low = levels[s - t].suspended(t)
+            copies.append(low)
+            if not _products_equal(top, low, low, top, memo):
+                return s - 1
     return depth
 
 
@@ -326,19 +358,29 @@ def _fold_recurrence_witness(system, generators, exponents, depth):
     exponents, their negatives and their pairwise sums, compared by the
     linear key at depth - 1.  The key is linear, so a candidate is carried
     as (w(0), form values of (w - w(0)) / x) and its state's key costs one
-    multiply-add per form, with no exponent tuple built.
+    multiply-add per form, with no exponent tuple built.  Candidates are
+    made as the scan reaches them, since it usually stops early.
     """
     m = system.ctx.m
     forms, M = _fold_forms(system, max(1, depth - 1))
     qsum = _form_values(forms, system._qsum)
     unmatched = {_reduced(_form_values(forms, system._exponent(g.word)), M)
                  for g in generators}
-    pool = [(w[0], _form_values(forms, w[1:])) for w in exponents]
-    pool += [(-v, [-t for t in tail]) for v, tail in pool]
-    singles_then_sums = itertools.chain(
-        pool, ((a + b, [x + y for x, y in zip(ta, tb)])
-               for (a, ta), (b, tb) in itertools.product(pool, repeat=2)))
-    for scanned, (v, tail) in enumerate(singles_then_sums):
+
+    def singles_then_sums():
+        singles = []
+        for w in exponents:
+            singles.append((w[0], _form_values(forms, w[1:])))
+            yield singles[-1]
+        negatives = []
+        for v, tail in singles:
+            negatives.append((-v, [-t for t in tail]))
+            yield negatives[-1]
+        for (a, ta), (b, tb) in itertools.product(singles + negatives,
+                                                  repeat=2):
+            yield a + b, [x + y for x, y in zip(ta, tb)]
+
+    for scanned, (v, tail) in enumerate(singles_then_sums()):
         if not unmatched or scanned >= WITNESS_SCAN_BUDGET:
             break
         if v % m:
@@ -386,8 +428,17 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
 
     depth bounds both the deduplication of states and every verification
     in the report (defaults to the context depth L).  If a generic system
-    turns out abelian to the full context depth it is marked so, which
-    lets later algebra merge exponents.
+    turns out abelian to the full context depth, and its states are words
+    in every defined generator, it is marked so, which lets later algebra
+    merge exponents.
+
+    A fold closure checks its linear keys after the walk: when it keeps at
+    most 2 * PAIRWISE_CAP states, each state's portrait is expanded once
+    on the word path (_word_portraits, which never reads the key) and the
+    first state whose portrait was seen raises DedupeCollision.  The cap
+    stays because word-path expansion does not merge exponents of one
+    class.  The fold abelian certificate and recurrence witness read the
+    generator and the kept exponents, not the states.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -424,9 +475,12 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
                        key, max_states, overflow)
 
     if system.foldable and len(states) <= 2 * PAIRWISE_CAP:
-        # the linear keys promise pairwise distinctness; spot-check it
-        for a, b in itertools.combinations(states, 2):
-            if a.equal_to_depth(b, depth):
+        # the linear keys promise pairwise distinctness; spot-check it on
+        # word-path portraits, raising at the first state of a seen class
+        first = {}
+        for b, node in zip(states, _word_portraits(system, states, depth)):
+            a = first.setdefault(node, b)
+            if a is not b:
                 raise DedupeCollision(
                     "states %r and %r share a portrait but not a key" % (a, b))
 
@@ -434,7 +488,11 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
     orbits = _root_orbits(roots, ctx.m)
     transitive = len(orbits) == 1
     abelian = _abelian_depth(system, states, depth)
-    if abelian >= ctx.L and not system.foldable:
+    # the states are words in the names below; a mark merges the words of
+    # every defined name, so it needs all of them
+    named = {name for s in states for name, _ in s.word}
+    if (abelian >= ctx.L and not system.foldable
+            and named >= set(system.names())):
         system.mark_abelian(abelian)
     nontrivial = sorted(
         (g for g in generators if not g.is_identity(depth)), key=repr)

@@ -29,7 +29,9 @@ import re
 from math import gcd, lcm
 from operator import mul
 
-from .adic import MAdicInt, Modulus, PowerSeries, reduce_digits, relator_parts
+from .adic import (
+    MAdicInt, Memo, Modulus, PowerSeries, reduce_digits, split_relator,
+)
 
 
 class ContextError(ValueError):
@@ -54,29 +56,6 @@ class NotAbelian(ArithmeticError):
 
 DEFAULT_CACHE = 1000000
 EXPANSION_CAP = 4096
-
-
-# ------------------------------------------------------------------ caches
-
-class Memo(dict):
-    """A memo table that empties itself once it holds more than cap entries.
-
-    Every memo table that outlives a single call is a Memo, so put is
-    the one place where a cache bound is compared.  Emptying only loses
-    entries; callers recompute what they miss.
-    """
-
-    __slots__ = ("cap",)
-
-    def __init__(self, cap):
-        self.cap = cap
-
-    def put(self, key, value):
-        """Store value under key and return it."""
-        if len(self) > self.cap:
-            self.clear()
-        self[key] = value
-        return value
 
 
 # ------------------------------------------------------------ permutations
@@ -1037,7 +1016,6 @@ class FoldSystem(System):
         self._prefix = tuple(prefix)
         self._annihilator = PowerSeries(
             ctx.mod, ctx.D, [ctx.m] + [-v for v in self._qsum[:ctx.D]])
-        self._relator = None   # (q lifts, j) of the annihilator, on first use
         self._key_tables = Memo(ctx.K)   # n -> (key_forms(n), m^n)
         entry_words = []
         for lifts in self._plifts:
@@ -1094,13 +1072,10 @@ class FoldSystem(System):
         only move to higher degrees, so the first n digits depend on the
         first n coefficients alone.
         """
-        if self._relator is None:
-            # split once; relator_parts rejects K = 1, where m is 0 mod m^K
-            q, j = relator_parts(self._annihilator)
-            self._relator = (q.lifts(), j)
-        qlifts, j = self._relator
+        # split_relator rejects K = 1, where m is 0 mod m^K
+        q, j = split_relator(self._annihilator)
         n = min(n, self.ctx.D + 1)
-        return tuple(reduce_digits(coeffs[:n], self.ctx.m, qlifts, j, n - 1))
+        return tuple(reduce_digits(coeffs[:n], self.ctx.m, q.lifts(), j, n - 1))
 
     def key_forms(self, n):
         """Weights of a complete linear key for exponents at depth n.

@@ -515,3 +515,33 @@ def test_relator_pure_torsion():
     red = reduce_mod_r([7, -1, 9, 4, 2], parse_series("4", mod, 4))
     assert red.digits == (3, 3, 1, 0, 2)
     assert red.exact_zone() == 5
+
+
+def test_relator_is_split_once_per_series(monkeypatch):
+    # reduce_mod_r and the fold digit oracle share one kept split per
+    # relator series; a bad relator is rejected every time, never kept
+    from selfsim import adic
+    from selfsim.tree import Context, FoldSystem
+    monkeypatch.setattr(adic, "_splits", adic.Memo(4))
+    calls = []
+    split = adic.relator_parts
+    monkeypatch.setattr(adic, "relator_parts",
+                        lambda r: calls.append(r) or split(r))
+    mod = Modulus(3, 5)
+    r = parse_series("3 - x - x^2", mod, 5)
+    want = [reduce_mod_r(n, r).digits for n in range(20)]
+    assert calls == [r]
+    twin = parse_series("3 - x - x^2", mod, 5)
+    assert reduce_mod_r(7, twin).digits == want[7]
+    assert calls == [r]
+    system = FoldSystem(Context(3, K=5, D=5, L=5), "g", [0, 1, "1 + x"],
+                        "(1 2 3)")   # annihilator 3 - 2*x - x^2
+    system.exponent_digits((4, 1, 0, 0, 0, 0), 3)
+    system.exponent_digits((5, 1, 0, 0, 0, 0), 3)
+    assert calls == [r, system.annihilator()]
+    assert not hasattr(system, "_relator")
+    bad = parse_series("2 - x", mod, 5)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            reduce_mod_r(1, bad)
+    assert calls[2:] == [bad, bad]

@@ -6,6 +6,8 @@ expansion of the integer n modulo r, which the ring module computes by
 pure carry arithmetic with no tree code involved.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -209,6 +211,47 @@ def test_closure_dedupe_guard_on_walked_states(monkeypatch):
     monkeypatch.setattr(closure, "_fold_forms", finer)
     with pytest.raises(DedupeCollision, match="e and g\\^{2 \\+ x}"):
         state_closure([g])
+
+
+def test_closure_dedupe_guard_raises_on_the_first_repeated_state(monkeypatch):
+    # two collisions among the seeds: a^{4 - x} repeats a^2 and a^{3 - x}
+    # repeats a; the check raises at the first state whose portrait was
+    # seen, naming the first state of that class, not at the first pair
+    ctx = Context(2, K=8, D=8, L=8)
+    a = adding_machine(ctx)
+    fold_key = closure._fold_key
+    monkeypatch.setattr(closure, "_fold_key",
+                        lambda system, word, depth:
+                        (fold_key(system, word, depth), word))
+    gens = [a, a ** 2, a.pow_series("4 - x"), a.pow_series("3 - x")]
+    with pytest.raises(DedupeCollision, match=re.escape(
+            "states a^{2} and a^{4 + 255*x} share")):
+        state_closure(gens)
+
+
+def test_closure_marks_only_systems_whose_names_it_covers(tmp_path, capsys):
+    # a closure of a alone certifies words in a; marking the system would
+    # merge the words of b and c too, and c*b would change its portrait
+    ctx = Context(2, K=4, D=4, L=4)
+    system = System(ctx)
+    a, b, c = system.gen("a"), system.gen("b"), system.gen("c")
+    system.define("a", "(1 2)", ["e", a])
+    system.define("b", "()", [a, c])
+    system.define("c", "(1 2)", ["e", "e"])
+    before = (c * b).portrait(3)
+    assert not (b * c).equal_to_depth(c * b, 4)
+    report = state_closure([a], depth=4)
+    assert report.abelian_to_depth == 4
+    assert not system.abelian_certified()
+    assert (c * b).portrait(3) == before
+    assert not (b * c).equal_to_depth(c * b, 4)
+    # the same closure on a system that defines a alone marks it
+    alone = adding_machine(Context(2, K=4, D=4, L=4))
+    generic = System(alone.system.ctx)
+    g = generic.gen("g")
+    generic.define("g", "(1 2)", ["e", g])
+    state_closure([g])
+    assert generic.abelian_certified()
 
 
 def test_closure_json_shape():

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import selfsim
 from selfsim import suites
 from selfsim.cli import (CliParseError, format_script, format_statement,
                          main, parse_script, parse_statement)
@@ -425,6 +430,60 @@ def test_zeta_unbounded_is_reported_not_fatal(tmp_path, capsys):
     row = rows_of(out)[0]
     assert row["zeta"] is None
     assert row["stabilized_at_least"] == 8
+
+
+def test_closure_of_one_generator_leaves_other_portraits_alone(tmp_path,
+                                                                capsys):
+    # the closure certifies words in a only; c*b must print one portrait
+    script = write_script(tmp_path, "\n".join([
+        "context m=2 K=4 D=4 L=4",
+        "gen a = (e, a) (1 2)",
+        "gen b = (a, c)",
+        "gen c = (e, e) (1 2)",
+        "portrait c*b L=3",
+        "closure a depth=4",
+        "portrait c*b L=3",
+    ]))
+    code, out, err = run_cli(["run", script], capsys)
+    assert code == 0 and err == ""
+    first, closure, second = rows_of(out)
+    assert closure["report"]["abelian_to_depth"] == 4
+    assert first == second
+
+
+class ClosedPipe(io.StringIO):
+    """An output stream whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, capsys,
+                                                     monkeypatch):
+    script = write_script(tmp_path, "context m=2\nportrait e L=2\n")
+    for argv in (["run", script], ["verify", "ring"]):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == 141
+        # the rest of the output, and the flush at exit, go to devnull
+        assert not isinstance(sys.stdout, ClosedPipe)
+        print("dropped")
+        sys.stdout.flush()
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_141_in_a_real_process():
+    src = str(pathlib.Path(selfsim.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selfsim", "run", "-"], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # the script arrives on stdin only after stdout is closed, so the
+    # first write already finds no reader
+    proc.stdout.close()
+    _, err = proc.communicate(b"context m=2\n" + b"portrait e L=2\n" * 9)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and b"Exception" not in err
 
 
 # ------------------------------------------------------------------ verify

@@ -1,24 +1,34 @@
-"""The fold abelian certificate on the portrait DAG, against its oracle.
+"""The fold closure's checks on the portrait DAG, against their oracles.
 
 `closure._fold_abelian_depth` builds the generator's level portraits by
-the digit recursion and compares g * x^t g with x^t g * g node by node.
-The oracle is the flat certificate it replaced: the same recursion on
-m^s-entry level-permutation tuples (`FoldSystem.level_perm_fast`), with
-each diagonal copy embedded block by block.
+the digit recursion and compares g * x^t g with x^t g * g node by node,
+with one memo of node products for the whole certificate.  One oracle is
+the flat certificate it replaced: the same recursion on m^s-entry
+level-permutation tuples (`FoldSystem.level_perm_fast`), with each
+diagonal copy embedded block by block; the other is the loop that gave
+every pair its own `_commutes` memo.  The recurrence witness makes its
+candidates as the scan reaches them; its oracle is the search that built
+them all first.  The DedupeCollision spot check compares word-path
+portraits; its oracle is pairwise `equal_to_depth`.
 """
 
-import pytest
-from hypothesis import given, settings
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from selfsim import closure
 from selfsim.adic import PowerSeries
 from selfsim.closure import (
-    _commutes, _fold_abelian_depth, _level_portrait, state_closure,
+    _commutes, _fold_abelian_depth, _fold_recurrence_witness,
+    _level_portrait, _word_portraits, state_closure,
 )
 from selfsim.tree import (
-    Context, FoldSystem, Permutation, adding_machine, rooted_portrait,
+    AutExpr, Context, FoldSystem, Permutation, adding_machine,
+    rooted_portrait,
 )
 
-from test_fold_keys import fold_systems
+from test_fold_keys import exponents, fold_systems
 from test_portrait_algebra import PAIRS, grigorchuk
 
 
@@ -102,3 +112,138 @@ def test_adding_machines_certified_to_depth_twelve(m):
     a = adding_machine(Context(m, K=12, D=12, L=12), 1)
     report = state_closure([a], depth=12)
     assert report.abelian_to_depth == 12
+
+
+# ------------------------------------------- one memo for the certificate
+
+def per_pair_certificate(system, depth):
+    """The certificate with a new _commutes memo for every pair."""
+    levels = [None]
+    for s in range(1, depth + 1):
+        top = closure._level_portrait(system, levels)
+        levels.append(top)
+        if not all(_commutes(top, levels[s - t].suspended(t))
+                   for t in range(1, s)):
+            return s - 1
+    return depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_systems())
+def test_shared_memo_certificate_matches_the_per_pair_loop(system):
+    depth = system.ctx.L
+    assert (_fold_abelian_depth(system, depth)
+            == per_pair_certificate(system, depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       st.integers(1, 6))
+def test_shared_memo_certificate_matches_on_non_commuting_levels(word, depth):
+    # a fold generator always passes, so stand-in levels from a word in
+    # the Grigorchuk generators (which need not commute with their own
+    # suspensions) make the certificate stop early
+    gens = grigorchuk()
+    expr = gens[word[0]]
+    for i in word[1:]:
+        expr = expr * gens[i]
+    system = FoldSystem(Context(2, K=7, D=6, L=6), "g", [0, 1], "(1 2)")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closure, "_level_portrait",
+                      lambda system, levels: expr.portrait(len(levels)))
+        assert (_fold_abelian_depth(system, depth)
+                == per_pair_certificate(system, depth))
+
+
+def test_shared_memo_certificate_stops_where_the_pairs_fail():
+    b = grigorchuk()[1]     # b = (a, c) does not commute with (b, b)
+    system = FoldSystem(Context(2, K=7, D=6, L=6), "g", [0, 1], "(1 2)")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closure, "_level_portrait",
+                      lambda system, levels: b.portrait(len(levels)))
+        got = _fold_abelian_depth(system, 6)
+        assert got == per_pair_certificate(system, 6) < 6
+
+
+# ------------------------------------------------ the lazy witness pool
+
+def eager_witness(system, generators, exponents, depth):
+    """The witness search that built every candidate before scanning."""
+    m = system.ctx.m
+    forms, M = closure._fold_forms(system, max(1, depth - 1))
+    qsum = closure._form_values(forms, system._qsum)
+    unmatched = {closure._reduced(
+        closure._form_values(forms, system._exponent(g.word)), M)
+        for g in generators}
+    pool = [(w[0], closure._form_values(forms, w[1:])) for w in exponents]
+    pool += [(-v, [-t for t in tail]) for v, tail in pool]
+    singles_then_sums = itertools.chain(
+        pool, ((a + b, [x + y for x, y in zip(ta, tb)])
+               for (a, ta), (b, tb) in itertools.product(pool, repeat=2)))
+    for scanned, (v, tail) in enumerate(singles_then_sums):
+        if not unmatched or scanned >= closure.WITNESS_SCAN_BUDGET:
+            break
+        if v % m:
+            continue
+        xi = v // m
+        unmatched.discard(closure._reduced(
+            [xi * q + t for q, t in zip(qsum, tail)], M))
+    return not unmatched
+
+
+@settings(max_examples=80, deadline=None)
+@given(fold_systems(), st.data())
+def test_lazy_witness_matches_the_eager_search(system, data):
+    pool = data.draw(st.lists(exponents(system), max_size=8))
+    gens = [AutExpr(system, (("g", q),)) for q in
+            data.draw(st.lists(exponents(system), min_size=1, max_size=3))]
+    depth = data.draw(st.integers(1, system.ctx.L))
+    budget = data.draw(st.integers(0, 90))
+    evaluated = []
+    form_values = closure._form_values
+
+    def counted(forms, coeffs):
+        evaluated.append(coeffs)
+        return form_values(forms, coeffs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closure, "WITNESS_SCAN_BUDGET", budget)
+        want = eager_witness(system, gens, pool, depth)
+        patch.setattr(closure, "_form_values", counted)
+        assert _fold_recurrence_witness(system, gens, pool, depth) == want
+    # qsum, the generators, and at most the singles the scan reached
+    assert len(evaluated) <= 1 + len(gens) + min(len(pool), budget + 1)
+
+
+def test_witness_scan_stops_before_the_unreached_singles():
+    system = FoldSystem(Context(2, K=7, D=6, L=6), "g", [0, 1], "(1 2)")
+    g = system.generator()
+    pool = [system._exponent((g ** n).word) for n in range(1, 200)]
+    evaluated = []
+    form_values = closure._form_values
+
+    def counted(forms, coeffs):
+        evaluated.append(coeffs)
+        return form_values(forms, coeffs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closure, "_form_values", counted)
+        # g^2 fixes the first letter and its state there is g
+        assert _fold_recurrence_witness(system, [g], pool, 6)
+    assert len(evaluated) < 10
+
+
+# ---------------------------------------------- word-path spot check
+
+@settings(max_examples=60, deadline=None)
+@given(fold_systems(), st.data())
+def test_word_portraits_part_states_as_equal_to_depth_does(system, data):
+    exprs = [AutExpr(system, (("g", q),)) for q in
+             data.draw(st.lists(exponents(system), min_size=1, max_size=6))]
+    exprs += exprs[:data.draw(st.integers(0, 2))]
+    depth = data.draw(st.integers(1, system.ctx.L))
+    nodes = list(_word_portraits(system, exprs, depth))
+    for a, b in itertools.product(range(len(exprs)), repeat=2):
+        assert ((nodes[a] == nodes[b])
+                == exprs[a].equal_to_depth(exprs[b], depth))
+    assert nodes == [e.portrait(depth) for e in exprs]

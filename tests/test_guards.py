@@ -6,7 +6,8 @@ exception.  Cache bounds are enforced in one place, `Memo.put`, so any
 other comparison that reads a bound fails too.  The closure walk keys fold
 states without the digit carry pass, which stays an independent oracle.
 Fold portraits are memoized by the same linear key, so the word expansion
-behind the closure's DedupeCollision check must not reach that key.
+behind the closure's DedupeCollision check, and the check's own portrait
+helper, must not reach that key.
 """
 
 import ast
@@ -88,24 +89,53 @@ def called_names(fn):
             for f in (n.func for n in ast.walk(fn) if isinstance(n, ast.Call))}
 
 
-def test_word_expansion_never_reaches_the_portrait_key():
-    # _is_identity and _word_decompose back the DedupeCollision spot check
-    # of the linear key, so nothing they call, directly or through other
-    # System or FoldSystem methods, may read key_forms or keyed portraits
-    (tree,) = [tree for name, tree in parsed_modules() if name == "tree.py"]
+def method_calls(tree, classes):
+    """Method name -> names it calls, over the named classes of tree."""
     calls = {}
     for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and cls.name in ("System",
-                                                          "FoldSystem"):
+        if isinstance(cls, ast.ClassDef) and cls.name in classes:
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef):
                     calls.setdefault(fn.name, set()).update(called_names(fn))
-    reached, frontier = set(), ["_is_identity", "_word_decompose"]
+    return calls
+
+
+def reached_from(calls, start):
+    """Every name reached from start through calls, start included."""
+    reached, frontier = set(), list(start)
     while frontier:
         name = frontier.pop()
         if name not in reached:
             reached.add(name)
             frontier.extend(calls.get(name, ()))
+    return reached
+
+
+KEYED = ("key_forms", "key_table", "_portrait", "_exponent_portrait")
+
+
+def test_word_expansion_never_reaches_the_portrait_key():
+    # _is_identity and _word_decompose expand words without the key, so
+    # nothing they call, directly or through other System or FoldSystem
+    # methods, may read key_forms or keyed portraits
+    trees = dict(parsed_modules())
+    calls = method_calls(trees["tree.py"], ("System", "FoldSystem"))
+    reached = reached_from(calls, ["_is_identity", "_word_decompose"])
     assert "_atom_decompose" in reached
-    assert reached.isdisjoint(
-        ("key_forms", "key_table", "_portrait", "_exponent_portrait"))
+    assert reached.isdisjoint(KEYED)
+
+
+def test_dedupe_spot_check_never_reaches_the_portrait_key():
+    # the closure's DedupeCollision spot check compares the portraits of
+    # closure._word_portraits, so that helper, through closure functions
+    # and System or FoldSystem methods, must expand words only
+    trees = dict(parsed_modules())
+    calls = method_calls(trees["tree.py"], ("System", "FoldSystem"))
+    for fn in trees["closure.py"].body:
+        if isinstance(fn, ast.FunctionDef):
+            calls.setdefault(fn.name, set()).update(called_names(fn))
+    assert "_word_portraits" in calls
+    reached = reached_from(calls, ["_word_portraits"])
+    assert "_word_decompose" in reached
+    assert reached.isdisjoint(KEYED + (
+        "_fold_key", "_fold_forms", "_state_key", "portrait"))
