@@ -229,7 +229,7 @@ def test_closure_dedupe_guard_raises_on_the_first_repeated_state(monkeypatch):
         state_closure(gens)
 
 
-def test_closure_marks_only_systems_whose_names_it_covers(tmp_path, capsys):
+def test_closure_marks_only_systems_whose_names_it_covers():
     # a closure of a alone certifies words in a; marking the system would
     # merge the words of b and c too, and c*b would change its portrait
     ctx = Context(2, K=4, D=4, L=4)
@@ -246,12 +246,19 @@ def test_closure_marks_only_systems_whose_names_it_covers(tmp_path, capsys):
     assert (c * b).portrait(3) == before
     assert not (b * c).equal_to_depth(c * b, 4)
     # the same closure on a system that defines a alone marks it
-    alone = adding_machine(Context(2, K=4, D=4, L=4))
-    generic = System(alone.system.ctx)
+    generic = System(ctx)
     g = generic.gen("g")
     generic.define("g", "(1 2)", ["e", g])
     state_closure([g])
     assert generic.abelian_certified()
+    # with a second, unrelated generator defined, the closure of g marks
+    # nothing, so a presentation of g alone has no certificate to peel with
+    wider = System(ctx)
+    g = wider.gen("g")
+    wider.define("g", "(1 2)", ["e", g])
+    wider.define("h", "(1 2)", ["e", "e"])
+    with pytest.raises(NotAbelian):
+        extract_relations([g])
 
 
 def test_closure_json_shape():
