@@ -28,6 +28,7 @@ per-system caches.
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -35,8 +36,8 @@ import sys
 
 from . import suites
 from .adic import ContextMismatch, format_series, parse_series, reduce_mod_r
-from .closure import (ZetaUnbounded, extract_relations, order_to_depth,
-                      state_closure, zeta)
+from .closure import (ZetaUnbounded, _built, _walk, extract_relations,
+                      order_to_depth, state_closure, zeta)
 from .endo import phi_rep, adding_machine_conjugator, triple_from_json
 from .tree import (Context, ContextError, FoldSystem, Permutation,
                    ShapeMismatch, System, _env_cache_cap)
@@ -464,13 +465,12 @@ class Session(object):
         self._make_ctx(line, {"m": self.defaults["m"]})
 
     def _make_ctx(self, line, pairs):
-        kwargs = {k: pairs.get(k, self.defaults.get(k) or 8)
-                  for k in ("K", "D", "L")}
+        kwargs = {k: pairs.get(k, self.defaults[k]) for k in ("K", "D", "L")}
         self.ctx = Context(pairs["m"], **kwargs)
         self.system = System(self.ctx)
 
-    def depth_arg(self, kv, key="L"):
-        return kv.get(key, self.ctx.L if self.ctx else None)
+    def depth_arg(self, kv):
+        return kv.get("L", self.ctx.L)
 
     def eval_word(self, word, line, allow_forward=False):
         self.ensure_ctx(line)
@@ -620,7 +620,7 @@ class Session(object):
             raise CliRunError(
                 line, "conjugate needs a single self-recursion generator "
                 "with a full-cycle root", EXIT_MATH)
-        depth = stmt["kv"].get("L", self.ctx.L)
+        depth = self.depth_arg(stmt["kv"])
         result = adding_machine_conjugator(fold.generator(), stmt["kv"]["j"],
                                            depth=depth)
         self.emit({"command": "conjugate", "generator": name,
@@ -644,7 +644,7 @@ class Session(object):
         except KeyError as exc:
             raise CliRunError(line, "missing key %s" % exc, EXIT_PARSE)
         ctx = Context(endo.index,
-                      **{k: self.defaults.get(k) or 8 for k in ("K", "D", "L")})
+                      **{k: self.defaults[k] for k in ("K", "D", "L")})
         machine = phi_rep(endo, transversal, ctx=ctx)
         rows, truncated = self._machine_states(machine)
         self.emit({"command": "represent", "file": stmt["path"],
@@ -653,34 +653,24 @@ class Session(object):
 
     @staticmethod
     def _machine_states(machine):
-        queue = []
-        for vec in machine.endo.group.basis():
-            expr = machine.of(vec)
-            if expr.word:
-                queue.append(expr.word[0][0])
-        seen = set()
+        """Rows for the first _STATE_CAP machine states, breadth-first from
+        the basis, and whether there are more."""
+        system = machine.system
+
+        def names(exprs):
+            return [e.word[0][0] for e in exprs if e.word]
+
+        seeds = names(map(machine.of, machine.endo.group.basis()))
+        found = list(itertools.islice(_walk(
+            seeds, lambda name: _built(names(system.definition(name).entries))),
+            _STATE_CAP + 1))
         rows = []
-        truncated = False
-        while queue:
-            name = queue.pop(0)
-            if name in seen:
-                continue
-            if len(seen) >= _STATE_CAP:
-                truncated = True
-                break
-            seen.add(name)
-            definition = machine.system.definition(name)
-            children = []
-            for entry in definition.entries:
-                if entry.word:
-                    child = entry.word[0][0]
-                    children.append(child)
-                    queue.append(child)
-                else:
-                    children.append("e")
+        for name in found[:_STATE_CAP]:
+            definition = system.definition(name)
             rows.append({"name": name, "root": repr(definition.root),
-                         "children": children})
-        return rows, truncated
+                         "children": [e.word[0][0] if e.word else "e"
+                                      for e in definition.entries]})
+        return rows, len(found) > _STATE_CAP
 
     def _cmd_verify(self, stmt):
         try:
@@ -793,22 +783,12 @@ class _Emitter(object):
 
 # ----------------------------------------------------------------- main
 
-def _add_common_flags(parser):
-    parser.add_argument("--m", type=int, default=None,
-                        help="default arity when no context is declared")
-    parser.add_argument("--K", type=int, default=None,
-                        help="scalar precision (digits base m, default 8)")
-    parser.add_argument("--D", type=int, default=None,
-                        help="series truncation degree (default 8)")
-    parser.add_argument("--L", type=int, default=None,
-                        help="tree observation depth (default 8)")
+def _add_output_flags(parser):
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--pretty", action="store_true",
                       help="human-readable output")
     mode.add_argument("--json", action="store_true",
                       help="one JSON object per line (the default)")
-    parser.add_argument("--dot", action="store_true",
-                        help="print DOT graphs for portrait-valued results")
 
 
 def build_parser():
@@ -821,11 +801,21 @@ def build_parser():
                          description=__doc__,
                          formatter_class=argparse.RawDescriptionHelpFormatter)
     run.add_argument("script", help="script path, or - for standard input")
-    _add_common_flags(run)
+    run.add_argument("--m", type=int, default=None,
+                     help="default arity when no context is declared")
+    run.add_argument("--K", type=int, default=None,
+                     help="scalar precision (digits base m, default 8)")
+    run.add_argument("--D", type=int, default=None,
+                     help="series truncation degree (default 8)")
+    run.add_argument("--L", type=int, default=None,
+                     help="tree observation depth (default 8)")
+    _add_output_flags(run)
+    run.add_argument("--dot", action="store_true",
+                     help="print DOT graphs for portrait-valued results")
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite",
                         help="one of: %s" % ", ".join(sorted(suites.SUITES)))
-    _add_common_flags(verify)
+    _add_output_flags(verify)
     return parser
 
 
@@ -866,28 +856,19 @@ def _run_script(args, out, err):
             print("%s:%d: %s" % (fname, stmt["line"], exc), file=err)
             return EXIT_MATH
         except KeyError as exc:
-            print("%s:%d: undefined generator %s" % (fname, stmt["line"],
-                                                     exc), file=err)
+            print("%s:%d: %s" % (fname, stmt["line"], exc.args[0]), file=err)
             return EXIT_PARSE
     return EXIT_CHECK_FAILED if session.check_failed else EXIT_OK
 
 
 def _run_verify(args, out, err):
+    session = Session({}, _Emitter(args.pretty, False, out))
     try:
-        report = suites.run_suite(args.suite)
-    except KeyError as exc:
-        print("selfsim: %s" % exc.args[0], file=err)
-        return EXIT_PARSE
-    except ContextError as exc:
-        print("selfsim: %s" % exc, file=err)
-        return EXIT_CONTEXT
-    row = {"command": "verify", **report}
-    if args.pretty:
-        for line in _pretty_lines(row):
-            print(line, file=out)
-    else:
-        print(json.dumps(row, sort_keys=True), file=out)
-    return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+        session._cmd_verify({"line": None, "suite": args.suite})
+    except CliRunError as exc:
+        print("selfsim: %s" % exc.message, file=err)
+        return exc.code
+    return EXIT_CHECK_FAILED if session.check_failed else EXIT_OK
 
 
 def main(argv=None):

@@ -1,8 +1,11 @@
 """State-closure analysis: saturation, restriction, peeling, relations.
 
 The state-closure of a set of tree automorphisms is everything reachable by
-repeatedly taking first-level states; one breadth-first walk (_walk) finds
-it.  For a foldable single-generator system the states are powers of one
+repeatedly taking first-level states; one lazy breadth-first walk (_walk)
+finds it, and the same walk saturates every other set in the package: the
+machine states of as_machine, the root span that peel solves in, the
+letter orbits of a closure, and the machine states the CLI's represent
+lists.  For a foldable single-generator system the states are powers of one
 generator, so the walk runs on plain exponent coefficient tuples and an
 expression is built only for each state kept.  Those states are keyed by
 the linear invariant of FoldSystem.key_forms: a few dot products that
@@ -56,8 +59,8 @@ class ZetaUnbounded(ArithmeticError):
 # ------------------------------------------------------------- saturation
 
 def _fold_forms(system, depth):
-    """(forms, m^n) of FoldSystem.key_table at n = min(depth, D + 1)."""
-    return system.key_table(min(depth, system.ctx.D + 1))
+    """(forms, m^depth) of FoldSystem.key_table."""
+    return system.key_table(depth)
 
 
 def _form_values(forms, coeffs):
@@ -98,9 +101,11 @@ def _fold_children(system, depth):
     return children
 
 
-def _built(items, key):
-    """Children for _walk that are already built: their keys, and items."""
-    return [key(item) for item in items], items.__getitem__
+def _built(items, key=None):
+    """Children for _walk that are already built: their keys (the items
+    themselves when key is None), and items."""
+    keys = items if key is None else [key(item) for item in items]
+    return keys, items.__getitem__
 
 
 def _word_portraits(system, exprs, depth):
@@ -133,16 +138,16 @@ def _state_key(system, expr, depth):
     return expr.portrait(depth)
 
 
-def _walk(seeds, children, key, max_states, overflow):
-    """Breadth-first saturation: one item per key, in discovery order.
+def _walk(seeds, children, key=None):
+    """Breadth-first saturation, lazily: one item per key, in discovery order.
 
-    The seeds are visited first, in order, then the children of every kept
+    Yields the seeds first, in order, then the children of every yielded
     item in turn; an item whose key was seen before is dropped.  Seeds are
-    keyed by key(item); children(item) returns (keys, build) with the
-    children's keys in order and build(i) making child i, which is called
-    only for a key not seen before, so a child that repeats a state is
-    never built.  Raises SaturationOverflow(overflow) on a key past
-    max_states.
+    keyed by key(item), or are their own keys when key is None;
+    children(item) returns (keys, build) with the children's keys in order
+    and build(i) making child i, which is called only for a key not seen
+    before, so a child that repeats a state is never built.  An item's
+    children are asked for only when the caller wants more items.
     """
     kept = []
     seen = set()
@@ -151,14 +156,21 @@ def _walk(seeds, children, key, max_states, overflow):
     while True:
         for i, k in enumerate(keys):
             if k not in seen:
-                if len(seen) >= max_states:
-                    raise SaturationOverflow(overflow)
                 seen.add(k)
                 kept.append(build(i))
+                yield kept[-1]
         if expanded == len(kept):
-            return kept
+            return
         keys, build = children(kept[expanded])
         expanded += 1
+
+
+def _capped(items, cap, overflow):
+    """The items as a list; raises SaturationOverflow(overflow) past cap."""
+    kept = list(itertools.islice(items, cap + 1))
+    if len(kept) > cap:
+        raise SaturationOverflow(overflow)
+    return kept
 
 
 class ClosureReport(object):
@@ -183,8 +195,12 @@ class ClosureReport(object):
         return len(self.states)
 
     def nontrivial_count(self):
-        """Number of distinct nontrivial states."""
-        return sum(1 for s in self.states if not s.is_identity(self.depth))
+        """Number of distinct nontrivial states.
+
+        The walk keeps one state per depth-d key and seeds the identity
+        first, so every other state differs from it to depth d.
+        """
+        return len(self.states) - 1
 
     def to_json(self):
         return {
@@ -206,25 +222,19 @@ class ClosureReport(object):
 
 
 def _root_orbits(roots, m):
-    seen = [False] * (m + 1)
+    """The orbits of the roots' group on the letters, each sorted.
+
+    The roots are finite permutations, so every inverse is a power and
+    forward images reach the whole orbit.
+    """
     orbits = []
+    seen = set()
     for start in range(1, m + 1):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for p in roots:
-                    for z in (p.apply(y), p.inverse().apply(y)):
-                        if z not in orbit:
-                            orbit.add(z)
-                            nxt.append(z)
-            frontier = nxt
-        for y in orbit:
-            seen[y] = True
-        orbits.append(tuple(sorted(orbit)))
+        if start not in seen:
+            orbit = sorted(_walk(
+                [start], lambda y: _built([p.apply(y) for p in roots])))
+            seen.update(orbit)
+            orbits.append(tuple(orbit))
     return tuple(orbits)
 
 
@@ -457,9 +467,9 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
             # their generators have 3 and 4 states to depth 1
             raise ContextError("need K >= 2 for a fold state closure")
         exponents = [system._exponent(g.word) for g in seeds]
-        kept = _walk(
+        kept = _capped(_walk(
             exponents, _fold_children(system, depth),
-            lambda q: _fold_key(system, q, depth), max_states, overflow)
+            lambda q: _fold_key(system, q, depth)), max_states, overflow)
         # the walk keeps the seeds first, each unless an earlier one had its
         # key; those states stay the expressions as they were passed
         given = {}
@@ -471,8 +481,9 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
         def key(expr):
             return _state_key(system, expr, depth)
 
-        states = _walk(seeds, lambda expr: _built(expr.decompose()[1], key),
-                       key, max_states, overflow)
+        states = _capped(_walk(
+            seeds, lambda expr: _built(expr.decompose()[1], key), key),
+            max_states, overflow)
 
     if system.foldable and len(states) <= 2 * PAIRWISE_CAP:
         # the linear keys promise pairwise distinctness; spot-check it on
@@ -520,11 +531,11 @@ def as_machine(expr, depth=None):
     def key(e):
         return _state_key(system, e, depth)
 
-    states = _walk(
+    states = _capped(_walk(
         [expr],
         lambda e: _built([c for c in e.decompose()[1]
                           if not c.is_identity(depth)], key),
-        key, ENUM_CAP, "more than %d machine states" % ENUM_CAP)
+        key), ENUM_CAP, "more than %d machine states" % ENUM_CAP)
     machine = System(ctx)
     names = {key(e): "q%d" % i for i, e in enumerate(states)}
     for name, e in zip(names.values(), states):
@@ -579,24 +590,15 @@ def restrict_to_orbit(expr, orbit, depth=None):
 
 def _perm_span(roots, m):
     """Breadth-first table: permutation -> first-found exponent tuple."""
-    table = {Permutation.identity(m): (0,) * len(roots)}
-    frontier = list(table)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            base = table[p]
-            for i, s in enumerate(roots):
-                q = p * s
-                if q not in table:
-                    if len(table) >= ENUM_CAP:
-                        raise SaturationOverflow(
-                            "root span larger than %d" % ENUM_CAP)
-                    t = list(base)
-                    t[i] += 1
-                    table[q] = tuple(t)
-                    nxt.append(q)
-        frontier = nxt
-    return table
+    def children(item):
+        p, t = item
+        keys = [p * s for s in roots]
+        return keys, lambda i: (keys[i], t[:i] + (t[i] + 1,) + t[i + 1:])
+
+    return dict(_capped(
+        _walk([(Permutation.identity(m), (0,) * len(roots))], children,
+              lambda item: item[0]),
+        ENUM_CAP, "root span larger than %d" % ENUM_CAP))
 
 
 def peel(target, basis, depth=None):

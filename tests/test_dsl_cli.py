@@ -257,6 +257,48 @@ def test_run_pretty_output(tmp_path, capsys):
     assert "(1 2)" in out
 
 
+def test_run_pretty_lines_of_every_command(tmp_path, capsys):
+    triple = tmp_path / "shifted2.json"
+    triple.write_text(json.dumps({
+        "free_rank": 1, "H_gens": [[2]], "f_images": [[1]],
+        "transversal": [[2], [-1]]}))
+    script = write_script(tmp_path, "\n".join([
+        "context m=4 K=10 D=10 L=10",
+        "gen a = (e, e, e, a^{2}) (1 2 3 4)",
+        "order a L=5",
+        "zeta a L=8",
+        "zeta a^{2 - x} L=8",
+        "closure a depth=4",
+        "present a depth=6",
+        'reduce "6" r="4 - x"',
+        "gen c = (e, e, e, c) (1 2 3 4)",
+        "conjugate c j=1 L=4",
+        "represent %s" % triple,
+    ]))
+    code, out, err = run_cli(["run", script, "--pretty"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "order a depth=5: 64",
+        "zeta a = 1",
+        "zeta a^{2 - x}: still trivial after 8 levels",
+        "closure of a: 3 states (2 nontrivial), transitive, abelian to "
+        "depth 4, recurrence not witnessed",
+        "  e",
+        "  a",
+        "  a^{2}",
+        "presentation of a: orders [4]",
+        "  relator: 4 + 1048574*x",
+        "6 mod (4 - x) = 2 + x   digits [2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0] "
+        "(exact below degree 10)",
+        "conjugate c with j=1: verified to depth 4 in 4 stages",
+        "representation of Z on 2 letters",
+        "  g[1] = (g[2], g[-1]) (1 2)",
+        "  g[2] = (g[1], g[1]) ()",
+        "  g[-1] = (g[1], g[-2]) (1 2)",
+        "  g[-2] = (g[-1], g[-1]) ()",
+    ]
+
+
 def test_run_dot_output(tmp_path, capsys):
     script = write_script(tmp_path, "\n".join([
         "context m=2",
@@ -290,6 +332,16 @@ def test_exit_undefined_name(tmp_path, capsys):
     code, _, err = run_cli(["run", script], capsys)
     assert code == 2
     assert "undefined name 'zz'" in err
+
+
+def test_exit_undefined_generator_prints_one_message(tmp_path, capsys):
+    # b is named in a definition but never defined; the lookup raises at
+    # the first statement that expands a
+    script = write_script(tmp_path, "context m=2\ngen a = (b, e) (1 2)\n"
+                          "portrait a L=2\n", name="fwd.txt")
+    code, out, err = run_cli(["run", script], capsys)
+    assert code == 2 and out == ""
+    assert err == "%s:3: undefined generator 'b'\n" % script
 
 
 def test_exit_arity_mismatch(tmp_path, capsys):
@@ -502,6 +554,15 @@ def test_verify_pretty_lines(capsys):
     assert code == 0
     assert "[PASS]" in out
     assert "suite ring: PASS" in out
+
+
+def test_verify_takes_no_context_or_dot_flags(capsys):
+    for flag in (["--m", "2"], ["--K", "9"], ["--D", "9"], ["--L", "9"],
+                 ["--dot"]):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "ring"] + flag)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):
