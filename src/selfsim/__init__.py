@@ -14,15 +14,14 @@ from .tree import (
 )
 from .closure import (
     ClosureReport, DedupeCollision, PermSolveFail, RelationPresentation,
-    SaturationOverflow, ZetaUnbounded, annihilator_check, as_machine,
-    extract_relations, order_to_depth, peel, restrict_to_orbit,
-    state_closure, zeta,
+    SaturationOverflow, ZetaUnbounded, as_machine, extract_relations,
+    order_to_depth, peel, restrict_to_orbit, state_closure, zeta,
 )
 from .endo import (
     AddingMachineConjugation, FgAbelianGroup, NonUnitSum, SelfSimilarMachine,
     StageRootDrift, Transversal, VirtualEndo, adding_machine_conjugator,
     closed_form_conjugator, closed_form_sequences, coset_permutation,
-    phi_rep, transversal_change, transversal_conjugator, triple_from_json,
+    phi_rep, transversal_change, triple_from_json,
 )
 from .suites import CRITERIA, SUITES, run_criterion, run_suite
 

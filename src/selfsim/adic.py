@@ -132,10 +132,6 @@ class MAdicInt(object):
     def digits(self):
         return tuple(_to_digits(self.mod, self.value))
 
-    def lift(self):
-        """Return the canonical integer representative in [0, m^K)."""
-        return self.value
-
     def is_unit(self):
         return gcd(self.value % self.mod.m, self.mod.m) == 1
 

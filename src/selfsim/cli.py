@@ -820,7 +820,9 @@ def build_parser():
 
 
 def _defaults_from(args):
-    return {"m": args.m, "K": args.K or 8, "D": args.D or 8, "L": args.L or 8}
+    return {"m": args.m, "K": 8 if args.K is None else args.K,
+            "D": 8 if args.D is None else args.D,
+            "L": 8 if args.L is None else args.L}
 
 
 def _run_script(args, out, err):

@@ -16,6 +16,13 @@ product per form with its own exponent, and a child's tuple
 anything else the walk runs on expressions, deduplicated by their
 depth-bounded portraits, which are hash-consed and therefore cheap keys.
 
+After the walk, state_closure picks its checks by engine once.  A fold
+closure spot-checks its keys on word-path portraits and certifies itself
+abelian from the generator's level portraits; a generic closure commutes
+the generator names in its states pairwise.  Both look for recurrence
+witnesses with one candidate scan (_witnessed) that stops at the first
+full match, on linear keys for a fold closure and on portraits otherwise.
+
 Peeling writes an element of an abelian-verified closure as a product of
 basis elements with power-series exponents, one stabilized layer at a time;
 the relation extractor runs peeling on the m_i-th powers of a basis whose
@@ -33,8 +40,7 @@ from .tree import (
 )
 
 ENUM_CAP = 10000
-PAIRWISE_CAP = 24
-WITNESS_CAP = 400
+SPOT_CHECK_CAP = 48
 WITNESS_SCAN_BUDGET = 20000
 
 
@@ -130,12 +136,6 @@ def _word_portraits(system, exprs, depth):
 
     for expr in exprs:
         yield expand(expr.word, depth)
-
-
-def _state_key(system, expr, depth):
-    if system.foldable:
-        return _fold_key(system, system._exponent(expr.word), depth)
-    return expr.portrait(depth)
 
 
 def _walk(seeds, children, key=None):
@@ -273,16 +273,6 @@ def _products_equal(p, q, r, s, memo):
     return ok
 
 
-def _commutes(a, b):
-    """Whether the portraits a and b commute, without building a*b or b*a.
-
-    Every node compared is a descendant of a or b, so the ids in the local
-    memo stay valid; nothing is interned, so the global tables do not grow
-    with products that would be thrown away.
-    """
-    return _products_equal(a, b, b, a, {})
-
-
 def _level_portrait(system, levels):
     """The fold generator's level-s portrait, s = len(levels).
 
@@ -342,21 +332,52 @@ def _fold_abelian_depth(system, depth):
     return depth
 
 
-def _abelian_depth(system, states, depth):
-    """Largest d <= depth with all sampled pairwise commutators trivial."""
-    if system.foldable:
-        return _fold_abelian_depth(system, depth)
-    exprs = states[:min(len(states), 2 * PAIRWISE_CAP)]
+def _names_abelian_depth(system, names, depth):
+    """Largest d <= depth to which the named generators pairwise commute.
+
+    Every state of a generic closure is a word in the generator names it
+    contains, and depth-d truncation is a homomorphism, so pairwise
+    commutation of those names to depth d certifies every pair of states
+    to depth d: k(k - 1)/2 commutators for k names, and no sample.
+    """
+    gens = [system.gen(name) for name in sorted(names)]
     best = depth
-    for a, b in itertools.combinations(exprs, 2):
+    for a, b in itertools.combinations(gens, 2):
         c = a.commutator(b)
-        d = 0
-        while d < best and c.is_identity(d + 1):
-            d += 1
-        best = min(best, d)
-        if best == 0:
+        while best and not c.is_identity(best):
+            best -= 1
+        if not best:
             return 0
     return best
+
+
+def _witnessed(targets, singles, inverse, product, first_state_key):
+    """Whether each target key is the first-letter state key of a candidate.
+
+    The candidates are the singles, then their inverses, then every ordered
+    product of two of those; first_state_key(c) is the key of c's state at
+    the first letter, or None when c moves that letter.  Candidates are
+    made as the scan reaches them, and the scan stops once every target is
+    matched or after WITNESS_SCAN_BUDGET candidates.
+    """
+    unmatched = set(targets)
+
+    def candidates():
+        pool = []
+        for c in singles:
+            pool.append(c)
+            yield c
+        for c in pool[:]:
+            pool.append(inverse(c))
+            yield pool[-1]
+        for a, b in itertools.product(pool, repeat=2):
+            yield product(a, b)
+
+    for scanned, c in enumerate(candidates()):
+        if not unmatched or scanned >= WITNESS_SCAN_BUDGET:
+            break
+        unmatched.discard(first_state_key(c))
+    return not unmatched
 
 
 def _fold_recurrence_witness(system, generators, exponents, depth):
@@ -368,87 +389,63 @@ def _fold_recurrence_witness(system, generators, exponents, depth):
     exponents, their negatives and their pairwise sums, compared by the
     linear key at depth - 1.  The key is linear, so a candidate is carried
     as (w(0), form values of (w - w(0)) / x) and its state's key costs one
-    multiply-add per form, with no exponent tuple built.  Candidates are
-    made as the scan reaches them, since it usually stops early.
+    multiply-add per form, with no exponent tuple built.
     """
     m = system.ctx.m
     forms, M = _fold_forms(system, max(1, depth - 1))
     qsum = _form_values(forms, system._qsum)
-    unmatched = {_reduced(_form_values(forms, system._exponent(g.word)), M)
-                 for g in generators}
 
-    def singles_then_sums():
-        singles = []
-        for w in exponents:
-            singles.append((w[0], _form_values(forms, w[1:])))
-            yield singles[-1]
-        negatives = []
-        for v, tail in singles:
-            negatives.append((-v, [-t for t in tail]))
-            yield negatives[-1]
-        for (a, ta), (b, tb) in itertools.product(singles + negatives,
-                                                  repeat=2):
-            yield a + b, [x + y for x, y in zip(ta, tb)]
-
-    for scanned, (v, tail) in enumerate(singles_then_sums()):
-        if not unmatched or scanned >= WITNESS_SCAN_BUDGET:
-            break
+    def first_state_key(c):
+        v, tail = c
         if v % m:
-            continue
-        xi = v // m
-        unmatched.discard(
-            _reduced([xi * q + t for q, t in zip(qsum, tail)], M))
-    return not unmatched
+            return None
+        return _reduced([v // m * q + t for q, t in zip(qsum, tail)], M)
+
+    return _witnessed(
+        [_reduced(_form_values(forms, system._exponent(g.word)), M)
+         for g in generators],
+        ((w[0], _form_values(forms, w[1:])) for w in exponents),
+        lambda c: (-c[0], [-t for t in c[1]]),
+        lambda a, b: (a[0] + b[0], [x + y for x, y in zip(a[1], b[1])]),
+        first_state_key)
 
 
-def _recurrence_witness(system, generators, states, depth):
+def _recurrence_witness(generators, states, depth):
     """Look for stabilizer elements whose first state hits each generator.
 
-    Candidates are deduplicated by what is compared: their first-letter
-    states at the probe depth.
+    Candidates and generators are compared by their portraits at the probe
+    depth, depth - 1.
     """
-    generators = [g for g in generators if not g.is_identity(depth)]
-    if not generators:
-        return True
-    candidates = []
-    seen = set()
     probe = max(1, depth - 1)
-    pool = list(states) + [s.inverse() for s in states]
-    for scanned, expr in enumerate(itertools.chain(
-            pool, (a * b for a, b in itertools.product(pool, repeat=2)))):
-        if len(candidates) >= WITNESS_CAP or scanned >= WITNESS_SCAN_BUDGET:
-            break
-        root = expr.root()
-        if root.apply(1) != 1:
-            continue
-        state = expr.state([1])
-        key = _state_key(system, state, probe)
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append(state)
-    for g in generators:
-        if not any(c.equal_to_depth(g, probe) for c in candidates):
-            return False
-    return True
+
+    def first_state_key(expr):
+        if expr.root().apply(1) != 1:
+            return None
+        return expr.state([1]).portrait(probe)
+
+    return _witnessed([g.portrait(probe) for g in generators], states,
+                      AutExpr.inverse, mul, first_state_key)
 
 
-def state_closure(generators, depth=None, max_states=ENUM_CAP):
+def state_closure(generators, depth=None):
     """Saturate first-level states of the generators; returns a report.
 
     depth bounds both the deduplication of states and every verification
-    in the report (defaults to the context depth L).  If a generic system
-    turns out abelian to the full context depth, and its states are words
-    in every defined generator, it is marked so, which lets later algebra
-    merge exponents.
+    in the report (defaults to the context depth L); more than ENUM_CAP
+    states raise SaturationOverflow.  A generic closure is certified
+    abelian to the depth to which the generator names in its states
+    pairwise commute; if that is the full context depth, and those names
+    are every defined generator, the system is marked so, which lets later
+    algebra merge exponents.
 
     A fold closure checks its linear keys after the walk: when it keeps at
-    most 2 * PAIRWISE_CAP states, each state's portrait is expanded once
-    on the word path (_word_portraits, which never reads the key) and the
+    most SPOT_CHECK_CAP states, each state's portrait is expanded once on
+    the word path (_word_portraits, which never reads the key) and the
     first state whose portrait was seen raises DedupeCollision.  The cap
     stays because word-path expansion does not merge exponents of one
     class.  The fold abelian certificate and recurrence witness read the
-    generator and the kept exponents, not the states.
+    generator and the kept exponents, not the states.  Either witness scan
+    stops at the first candidate that completes the match.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -459,7 +456,7 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
             raise ValueError("generators belong to different systems")
     depth = ctx.depth(depth)
     seeds = [system.identity()] + list(generators)
-    overflow = "more than %d states at depth %d" % (max_states, depth)
+    overflow = "more than %d states at depth %d" % (ENUM_CAP, depth)
     if system.foldable:
         if ctx.K < 2:
             # one digit of each p_y does not fix the closure: at m = 4,
@@ -469,7 +466,7 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
         exponents = [system._exponent(g.word) for g in seeds]
         kept = _capped(_walk(
             exponents, _fold_children(system, depth),
-            lambda q: _fold_key(system, q, depth)), max_states, overflow)
+            lambda q: _fold_key(system, q, depth)), ENUM_CAP, overflow)
         # the walk keeps the seeds first, each unless an earlier one had its
         # key; those states stay the expressions as they were passed
         given = {}
@@ -477,40 +474,41 @@ def state_closure(generators, depth=None, max_states=ENUM_CAP):
             given.setdefault(_fold_key(system, q, depth), g)
         states = list(given.values()) + [
             AutExpr(system, ((system.name, q),)) for q in kept[len(given):]]
+        if len(states) <= SPOT_CHECK_CAP:
+            # the linear keys promise pairwise distinctness; spot-check it
+            # on word-path portraits, raising at the first state of a seen
+            # class
+            first = {}
+            for b, node in zip(states,
+                               _word_portraits(system, states, depth)):
+                a = first.setdefault(node, b)
+                if a is not b:
+                    raise DedupeCollision(
+                        "states %r and %r share a portrait but not a key"
+                        % (a, b))
+        abelian = _fold_abelian_depth(system, depth)
     else:
         def key(expr):
-            return _state_key(system, expr, depth)
+            return expr.portrait(depth)
 
         states = _capped(_walk(
             seeds, lambda expr: _built(expr.decompose()[1], key), key),
-            max_states, overflow)
-
-    if system.foldable and len(states) <= 2 * PAIRWISE_CAP:
-        # the linear keys promise pairwise distinctness; spot-check it on
-        # word-path portraits, raising at the first state of a seen class
-        first = {}
-        for b, node in zip(states, _word_portraits(system, states, depth)):
-            a = first.setdefault(node, b)
-            if a is not b:
-                raise DedupeCollision(
-                    "states %r and %r share a portrait but not a key" % (a, b))
+            ENUM_CAP, overflow)
+        names = {name for s in states for name, _ in s.word}
+        abelian = _names_abelian_depth(system, names, depth)
+        # a mark merges the words of every defined name, so it needs all
+        if abelian >= ctx.L and names >= set(system.names()):
+            system.mark_abelian(abelian)
 
     roots = [g.root() for g in generators]
     orbits = _root_orbits(roots, ctx.m)
     transitive = len(orbits) == 1
-    abelian = _abelian_depth(system, states, depth)
-    # the states are words in the names below; a mark merges the words of
-    # every defined name, so it needs all of them
-    named = {name for s in states for name, _ in s.word}
-    if (abelian >= ctx.L and not system.foldable
-            and named >= set(system.names())):
-        system.mark_abelian(abelian)
     nontrivial = sorted(
         (g for g in generators if not g.is_identity(depth)), key=repr)
     if system.foldable:
         recurrent = _fold_recurrence_witness(system, nontrivial, kept, depth)
     else:
-        recurrent = _recurrence_witness(system, nontrivial, states, depth)
+        recurrent = _recurrence_witness(nontrivial, states, depth)
     return ClosureReport(system, tuple(nontrivial), tuple(states), depth,
                          transitive, orbits, abelian, recurrent)
 
@@ -529,7 +527,7 @@ def as_machine(expr, depth=None):
     depth = ctx.depth(depth)
 
     def key(e):
-        return _state_key(system, e, depth)
+        return e.portrait(depth)
 
     states = _capped(_walk(
         [expr],
@@ -737,11 +735,6 @@ def extract_relations(basis, depth=None):
 
 
 # ------------------------------------------------------------ depth gauges
-
-def annihilator_check(expr, r, depth=None):
-    """Does the series r kill expr to the given depth?"""
-    return expr.pow_series(r).is_identity(depth)
-
 
 def order_to_depth(expr, depth=None):
     """The order of expr's action on the first `depth` levels.

@@ -269,15 +269,6 @@ def transversal_change(h_list, v, t, ctx=None):
     return rep, rep2, lam
 
 
-def transversal_conjugator(h_list, v, t, ctx=None):
-    """The conjugator between the representations of t and h_i + x_i.
-
-    lambda = gamma gamma^(1) gamma^(2) ... truncated at the context depth,
-    where gamma has trivial root and entries f(h_i) in the new machine.
-    """
-    return transversal_change(h_list, v, t, ctx)[2]
-
-
 # ---------------------------------------------- adding-machine conjugation
 
 class AddingMachineConjugation(object):
@@ -308,9 +299,6 @@ class AddingMachineConjugation(object):
     def verified(self):
         """Does conjugating beta really give the adding machine?"""
         return self.conjugated == self.target
-
-    def portrait(self):
-        return self.conjugator
 
     def __repr__(self):
         return ("AddingMachineConjugation(j=%d, depth=%d, factors=%d, verified=%r)"

@@ -97,7 +97,7 @@ def criterion_binary_series_conjugation():
         ("prefix-stream conjugator verified at depth 10", res.verified()),
         ("closed-form conjugator verified at depth 10",
          beta.portrait(10).conjugated_by(closed) == res.target),
-        ("the two conjugators agree as portraits", closed == res.portrait()),
+        ("the two conjugators agree as portraits", closed == res.conjugator),
     ]
     return checks
 

@@ -82,19 +82,19 @@ def test_scalar_ring_axioms(m, K, x, y, z):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert a + (-a) == MAdicInt(mod, 0)
-    assert a.lift() == (x % mod.mK)
+    assert a.value == (x % mod.mK)
 
 
 def test_invert_three_mod_32():
     mod = Modulus(2, 5)
     oracle = pow(3, -1, 2 ** 5)
     assert oracle == 11
-    assert MAdicInt(mod, 3).invert().lift() == 11
+    assert MAdicInt(mod, 3).invert().value == 11
 
 
 def test_invert_one():
     mod = Modulus(5, 3)
-    assert MAdicInt(mod, 1).invert().lift() == 1
+    assert MAdicInt(mod, 1).invert().value == 1
 
 
 def test_invert_zero_divisor():
@@ -129,7 +129,7 @@ def test_idempotents_prime_power():
 def test_idempotents_six():
     mod = Modulus(6, 2)
     eps = idempotents(mod)
-    lifts = sorted(e.lift() for e in eps)
+    lifts = sorted(e.value for e in eps)
     assert lifts == sorted([crt_idempotent(4, 36), crt_idempotent(9, 36)]) == [9, 28]
     assert 28 in lifts
 
@@ -151,7 +151,7 @@ def test_idempotent_laws_six():
 def test_idempotent_laws_random(m, K):
     mod = Modulus(m, K)
     eps = idempotents(mod)
-    assert sum((e.lift() for e in eps)) % mod.mK == 1
+    assert sum((e.value for e in eps)) % mod.mK == 1
     for e in eps:
         assert e * e == e
 

@@ -15,8 +15,8 @@ from selfsim import closure
 from selfsim.adic import PowerSeries, parse_series, reduce_mod_r
 from selfsim.closure import (
     DedupeCollision, PermSolveFail, SaturationOverflow, ZetaUnbounded,
-    annihilator_check, as_machine, extract_relations, order_to_depth, peel,
-    restrict_to_orbit, state_closure, zeta,
+    as_machine, extract_relations, order_to_depth, peel, restrict_to_orbit,
+    state_closure, zeta,
 )
 from selfsim.tree import (
     Context, DepthExceeded, FoldSystem, NotAbelian, Permutation,
@@ -160,26 +160,29 @@ def test_binary_adding_machine_recurrence_at_shallow_depths(depth):
     assert state_closure([fold], depth=depth).recurrent_witnessed
 
 
-def test_closure_overflow():
+def test_closure_overflow(monkeypatch):
     ctx = Context(2, K=8, D=8, L=8)
     sys = System(ctx)
     g = sys.gen("g")
     sys.define("g", "(1 2)", [g, g * g])  # states g, g^2, g^3, g^4, ...
+    monkeypatch.setattr(closure, "ENUM_CAP", 5)
     with pytest.raises(SaturationOverflow):
-        state_closure([sys.gen("g")], max_states=5)
+        state_closure([sys.gen("g")])
 
 
-def test_fold_closure_guards():
+def test_fold_closure_guards(monkeypatch):
     # the fold walk reads exponents, not words: a generator of another name
-    # is still rejected, and saturation still stops at max_states
+    # is still rejected, and saturation still stops at ENUM_CAP
     sys = FoldSystem(Context(2, K=4, D=4, L=4), "g", [0, 1], "(1 2)")
     for gens in ([sys.gen("b")], [sys.generator(), sys.gen("b")]):
         with pytest.raises(KeyError, match="undefined generator 'b'"):
             state_closure(gens)
     a = adding_machine(Context(2, K=8, D=8, L=8), j=3)   # e and 3 states
-    assert state_closure([a], max_states=4).state_count() == 4
+    monkeypatch.setattr(closure, "ENUM_CAP", 4)
+    assert state_closure([a]).state_count() == 4
+    monkeypatch.setattr(closure, "ENUM_CAP", 3)
     with pytest.raises(SaturationOverflow, match="more than 3 states"):
-        state_closure([a], max_states=3)
+        state_closure([a])
 
 
 def test_closure_dedupe_guard(monkeypatch):
@@ -321,7 +324,7 @@ def test_relations_example_m4():
     pres = extract_relations([a])
     want = parse_series("4 - 2x", ctx.mod, ctx.D)
     assert pres.relator == want
-    assert annihilator_check(a, pres.relator)
+    assert a.pow_series(pres.relator).is_identity()
 
 
 def test_relations_rooted_klein_four():
@@ -350,7 +353,7 @@ def test_relator_kills_every_closure_state():
         a = adding_machine(ctx, j)
         r = extract_relations([a]).relator
         for s in state_closure([a]).states:
-            assert annihilator_check(s, r)
+            assert s.pow_series(r).is_identity()
 
 
 # ------------------------------------------------------------ depth gauges

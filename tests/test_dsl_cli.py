@@ -411,6 +411,16 @@ def test_exit_depth_below_one(tmp_path, capsys):
         assert not out and ":3:" in err and "at least 1" in err
 
 
+@pytest.mark.parametrize("flag", ["--K", "--D", "--L"])
+def test_exit_zero_context_flags(tmp_path, capsys, flag):
+    # a zero flag is a context like the script line context m=2 L=0, not
+    # the default 8
+    script = write_script(tmp_path, "gen a = (e, a) (1 2)\nportrait a\n")
+    code, out, err = run_cli(["run", script, "--m", "2", flag, "0"], capsys)
+    assert code == 3
+    assert not out and ":1:" in err
+
+
 def test_exit_conjugate_depth_reports_requested_depth(tmp_path, capsys):
     script = write_script(tmp_path, "context m=2 L=8\ngen a = (e, a) (1 2)\n"
                           "conjugate a j=1 L=20\n")

@@ -15,8 +15,7 @@ from selfsim.endo import (
     FgAbelianGroup, NonUnitSum, SelfSimilarMachine, StageRootDrift,
     Transversal, VirtualEndo,
     coset_permutation, closed_form_conjugator, closed_form_sequences, phi_rep,
-    adding_machine_conjugator, transversal_change, transversal_conjugator,
-    triple_from_json,
+    adding_machine_conjugator, transversal_change, triple_from_json,
 )
 
 
@@ -246,8 +245,8 @@ def test_transversal_change_random():
 def test_transversal_change_zero_shift():
     v = binary_endo()
     t = Transversal(v, [(0,), (1,)])
-    lam = transversal_conjugator([(0,), (0,)], v, t,
-                                 ctx=Context(2, K=8, D=8, L=8))
+    lam = transversal_change([(0,), (0,)], v, t,
+                             ctx=Context(2, K=8, D=8, L=8))[2]
     assert lam.is_identity()
 
 
@@ -255,7 +254,7 @@ def test_transversal_change_invalid_shift():
     v = binary_endo()
     t = Transversal(v, [(0,), (1,)])
     with pytest.raises(ValueError):
-        transversal_conjugator([(1,), (0,)], v, t)
+        transversal_change([(1,), (0,)], v, t)[2]
 
 
 # ------------------------------------------------- conjugators: prefix tuple
@@ -265,7 +264,7 @@ def test_conjugator_fixes_adding_machines():
         am = adding_machine(Context(m, K=8, D=8, L=8), j)
         res = adding_machine_conjugator(am, j)
         assert res.verified()
-        assert res.portrait() == _uniform_portrait(Permutation.identity(m), 8)
+        assert res.conjugator == _uniform_portrait(Permutation.identity(m), 8)
 
 
 def binary_series_beta():
@@ -290,7 +289,7 @@ def test_closed_form_matches_stream():
     beta = binary_series_beta()
     res = adding_machine_conjugator(beta, 1, depth=8)
     assert res.verified()
-    assert closed_form_conjugator(beta, 8) == res.portrait()
+    assert closed_form_conjugator(beta, 8) == res.conjugator
 
 
 def test_closed_form_sequences_frozen():

@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from selfsim import closure
 from selfsim.adic import PowerSeries
 from selfsim.closure import (
-    _commutes, _fold_abelian_depth, _fold_recurrence_witness,
-    _level_portrait, _word_portraits, state_closure,
+    _fold_abelian_depth, _fold_recurrence_witness, _level_portrait,
+    _products_equal, _word_portraits, state_closure,
 )
 from selfsim.tree import (
     AutExpr, Context, FoldSystem, Permutation, adding_machine,
@@ -30,6 +30,15 @@ from selfsim.tree import (
 
 from test_fold_keys import exponents, fold_systems
 from test_portrait_algebra import PAIRS, grigorchuk
+
+
+def _commutes(a, b):
+    """Whether the portraits a and b commute, without building a*b or b*a.
+
+    Every node compared is a descendant of a or b, so the ids in the local
+    memo stay valid.
+    """
+    return _products_equal(a, b, b, a, {})
 
 
 def flat_certificate(system, depth):

@@ -7,11 +7,13 @@ other comparison that reads a bound fails too.  The closure walk keys fold
 states without the digit carry pass, which stays an independent oracle.
 Fold portraits are memoized by the same linear key, so the word expansion
 behind the closure's DedupeCollision check, and the check's own portrait
-helper, must not reach that key.
+helper, must not reach that key.  Every cost cap and budget the package
+defines is read by the package, so none is a dead knob.
 """
 
 import ast
 import pathlib
+import re
 
 import selfsim
 
@@ -137,5 +139,30 @@ def test_dedupe_spot_check_never_reaches_the_portrait_key():
     assert "_word_portraits" in calls
     reached = reached_from(calls, ["_word_portraits"])
     assert "_word_decompose" in reached
-    assert reached.isdisjoint(KEYED + (
-        "_fold_key", "_fold_forms", "_state_key", "portrait"))
+    assert reached.isdisjoint(KEYED + ("_fold_key", "_fold_forms", "portrait"))
+
+
+KNOB = re.compile(r"_?[A-Z][A-Z0-9_]*_(CAP|BUDGET)$")
+
+
+def test_every_cap_and_budget_is_read():
+    # a module-level *_CAP or *_BUDGET constant that nothing reads is an
+    # option that changes nothing; reads are loads of the name or of an
+    # attribute of that name, in any module of the package
+    trees = parsed_modules()
+    knobs = {}
+    for name, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and KNOB.match(target.id):
+                        knobs[target.id] = "%s:%d" % (name, node.lineno)
+    read = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert "ENUM_CAP" in knobs and "WITNESS_SCAN_BUDGET" in knobs
+    assert sorted(v for k, v in knobs.items() if k not in read) == []
