@@ -16,12 +16,9 @@ product per form with its own exponent, and a child's tuple
 anything else the walk runs on expressions, deduplicated by their
 depth-bounded portraits, which are hash-consed and therefore cheap keys.
 
-After the walk, state_closure picks its checks by engine once.  A fold
-closure spot-checks its keys on word-path portraits and certifies itself
-abelian from the generator's level portraits; a generic closure commutes
-the generator names in its states pairwise.  Both look for recurrence
-witnesses with one candidate scan (_witnessed) that stops at the first
-full match, on linear keys for a fold closure and on portraits otherwise.
+After the walk, state_closure picks its checks by engine once; either
+engine looks for recurrence witnesses with one candidate scan (_witnessed)
+that stops at the first full match.
 
 Peeling writes an element of an abelian-verified closure as a product of
 basis elements with power-series exponents, one stabilized layer at a time;

@@ -244,7 +244,9 @@ def transversal_change(h_list, v, t, ctx=None):
 
     Returns (rep, rep2, lam) on one shared system, where rep2 uses the
     representatives h_i + x_i and lam satisfies
-    rep2.of(g) = lam * rep.of(g) * lam^-1 to the context depth.
+    rep2.of(g) = lam * rep.of(g) * lam^-1 to the context depth.  lam is
+    gamma gamma^(1) gamma^(2) ... truncated at the context depth, where
+    gamma has trivial root and entries f(h_i) in the new machine.
     """
     group = v.group
     hs = [group.normalize(h) for h in h_list]

@@ -1,9 +1,8 @@
 """The generic closure's checks after the walk, against their oracles.
 
 The abelian certificate of a generic closure commutes the generator names
-in its states pairwise; it used to compare a sample of at most 48 states,
-which missed the one pair that does not commute in a closure of 53.  A
-mark lets the system merge the words of every defined name, so no closure
+in its states pairwise; a sample of 48 states misses the one pair that
+does not commute in a closure of 53.  A mark lets the system merge the words of every defined name, so no closure
 of any subset of the generators may change a portrait.  The recurrence
 witness runs the one candidate scan, `closure._witnessed`; its oracle is
 the search it replaced, which collected up to 400 distinct first-letter
