@@ -44,6 +44,10 @@ class ContextMismatch(ValueError):
     pass
 
 
+class SeriesSyntaxError(ValueError):
+    """A malformed series literal; a degree above D is a ContextMismatch."""
+
+
 class NonUnit(ArithmeticError):
     pass
 
@@ -322,27 +326,27 @@ def parse_series(text, mod, D):
     """Parse a series literal like '2 - x', '1 + x', or '3*x^2'."""
     s = text.strip()
     if not s:
-        raise ValueError("empty series literal")
+        raise SeriesSyntaxError("empty series literal")
     # normalize leading sign, then split into signed terms
     if s[0] not in "+-":
         s = "+" + s
     tokens = re.findall(r"[+-][^+-]+", s)
     if "".join(tokens).replace(" ", "") != s.replace(" ", ""):
-        raise ValueError("ill formatted series literal: %r" % text)
+        raise SeriesSyntaxError("ill formatted series literal: %r" % text)
     coeffs = [0] * (D + 1)
     for tok in tokens:
         sign = -1 if tok[0] == "-" else 1
         body = tok[1:].strip()
         match = _TERM_RE.match(body)
         if match is None:
-            raise ValueError("ill formatted series term: %r" % tok)
+            raise SeriesSyntaxError("ill formatted series term: %r" % tok)
         if match.group(4) is not None:
             c, d = int(match.group(4)), 0
         else:
             c = int(match.group(1)) if match.group(1) else 1
             d = int(match.group(3)) if match.group(3) else 1
         if d > D:
-            raise ValueError("term degree %d exceeds bound %d" % (d, D))
+            raise ContextMismatch("term degree %d exceeds bound %d" % (d, D))
         coeffs[d] += sign * c
     return PowerSeries(mod, D, coeffs)
 

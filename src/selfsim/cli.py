@@ -35,7 +35,8 @@ import re
 import sys
 
 from . import suites
-from .adic import ContextMismatch, format_series, parse_series, reduce_mod_r
+from .adic import (ContextMismatch, SeriesSyntaxError, format_series,
+                   parse_series, reduce_mod_r)
 from .closure import (ZetaUnbounded, _built, _walk, extract_relations,
                       order_to_depth, state_closure, zeta)
 from .endo import phi_rep, adding_machine_conjugator, triple_from_json
@@ -854,12 +855,12 @@ def _run_script(args, out, err):
         except (ContextError, ContextMismatch) as exc:
             print("%s:%d: %s" % (fname, stmt["line"], exc), file=err)
             return EXIT_CONTEXT
+        except (KeyError, SeriesSyntaxError) as exc:
+            print("%s:%d: %s" % (fname, stmt["line"], exc.args[0]), file=err)
+            return EXIT_PARSE
         except (ArithmeticError, ValueError) as exc:
             print("%s:%d: %s" % (fname, stmt["line"], exc), file=err)
             return EXIT_MATH
-        except KeyError as exc:
-            print("%s:%d: %s" % (fname, stmt["line"], exc.args[0]), file=err)
-            return EXIT_PARSE
     return EXIT_CHECK_FAILED if session.check_failed else EXIT_OK
 
 

@@ -33,7 +33,7 @@ from operator import mul
 from .adic import PowerSeries
 from .tree import (
     AutExpr, Context, ContextError, NotAbelian, Permutation, Portrait,
-    ShapeMismatch, System, _uniform_portrait,
+    ShapeMismatch, System, _products_equal, _uniform_portrait,
 )
 
 ENUM_CAP = 10000
@@ -245,29 +245,6 @@ def _portrait_power(node, e):
         if not e:
             return result
         node = node._mul(node)
-
-
-def _products_equal(p, q, r, s, memo):
-    """Whether p*q == r*s, compared node by node without building either.
-
-    The roots must agree, and then the children (p*q)_y = p_y * q_(y)p and
-    (r*s)_y = r_y * s_(y)r.  memo is keyed on node ids, so the caller must
-    keep every compared node alive while memo is in use.
-    """
-    if p is r and q is s:
-        return True
-    key = (id(p), id(q), id(r), id(s))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    pi, qi, ri, si = p.root.images, q.root.images, r.root.images, s.root.images
-    ok = all(qi[pi[y] - 1] == si[ri[y] - 1] for y in range(len(pi)))
-    if ok and p.children:
-        ok = all(_products_equal(p.children[y], q.children[pi[y] - 1],
-                                 r.children[y], s.children[ri[y] - 1], memo)
-                 for y in range(len(pi)))
-    memo[key] = ok
-    return ok
 
 
 def _level_portrait(system, levels):

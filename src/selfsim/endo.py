@@ -13,7 +13,8 @@ transversal product lambda = gamma gamma^(1) gamma^(2) ... and the
 corecursive conjugator taking a single-generator recursion with unit
 exponent sum onto the generalized adding machine.  The latter lives at
 portrait level because its factors have unequal components and arbitrary
-host systems would force exponential expansions.
+host systems would force exponential expansions.  Its stages multiply
+from the right, and beta h == h target is checked node pair by node pair.
 """
 
 from math import gcd
@@ -22,7 +23,7 @@ from .adic import NonUnit, PowerSeries
 from .intlin import lattice_index, left_kernel, solve_left
 from .tree import (
     AutExpr, Context, FoldSystem, Permutation, Portrait, ShapeMismatch,
-    System, _uniform_portrait, adding_machine,
+    System, _products_equal, _uniform_portrait, adding_machine,
 )
 
 
@@ -281,14 +282,15 @@ class AddingMachineConjugation(object):
     along the root cycle, and sits nj levels down.  Materialized as a
     portrait: the factors have unequal components, so they live in no
     abelian system, and hosting them on a generic engine would force
-    integer exponents far past any expansion budget.
+    integer exponents far past any expansion budget.  conjugates is whether
+    beta h == h target for h the conjugator, compared node pair by node pair.
     """
 
     __slots__ = ("beta", "j", "depth", "factors", "relabel", "conjugator",
-                 "target", "conjugated")
+                 "target", "conjugates")
 
     def __init__(self, beta, j, depth, factors, relabel, conjugator, target,
-                 conjugated):
+                 conjugates):
         self.beta = beta
         self.j = j
         self.depth = depth
@@ -296,11 +298,11 @@ class AddingMachineConjugation(object):
         self.relabel = relabel
         self.conjugator = conjugator
         self.target = target
-        self.conjugated = conjugated
+        self.conjugates = conjugates
 
     def verified(self):
         """Does conjugating beta really give the adding machine?"""
-        return self.conjugated == self.target
+        return self.conjugates
 
     def __repr__(self):
         return ("AddingMachineConjugation(j=%d, depth=%d, factors=%d, verified=%r)"
@@ -335,18 +337,13 @@ def adding_machine_conjugator(beta, j, depth=None):
 
     m = ctx.m
     cycle = system.sigma.cycles()[0]
-    images = [0] * m
-    for pos, letter in enumerate(cycle):
-        images[letter - 1] = pos + 1
-    relabel = Permutation(images)
+    relabel = Permutation(cycle.index(y) + 1 for y in range(1, m + 1))
 
     factors = []
+    stages = []
     qn = PowerSeries.constant(ctx.mod, ctx.D, 1)
-    n = 0
-    conj = None
-    while n * j < depth:
-        bn = beta.pow_series(qn)
-        root, kids = bn.decompose()
+    for n in range((depth + j - 1) // j):   # the stages with n j < depth
+        root, kids = beta.pow_series(qn).decompose()
         if root != system.sigma:
             raise StageRootDrift(
                 "stage %d root %r drifted off the base cycle %r"
@@ -357,33 +354,38 @@ def adding_machine_conjugator(beta, j, depth=None):
             exps.append(PowerSeries(ctx.mod, ctx.D, w[0][1] if w else ()))
         sub_depth = depth - n * j
         partial = PowerSeries(ctx.mod, ctx.D)
-        entries = [None] * m
-        series = [None] * m
+        entries, series = [None] * m, [None] * m
         for letter, e in zip(cycle, (exps[z - 1] for z in cycle)):
             series[letter - 1] = -partial
-            if sub_depth == 1:
-                entries[letter - 1] = None
-            else:
+            if sub_depth > 1:
                 entries[letter - 1] = beta.pow_series(
                     partial).inverse().portrait(sub_depth - 1)
             partial = partial + e
-        if sub_depth == 1:
-            pn = Portrait.make(Permutation.identity(m), ())
-        else:
-            pn = Portrait.make(Permutation.identity(m), tuple(entries))
+        below = tuple(entries) if sub_depth > 1 else ()
+        stages.append(Portrait.make(Permutation.identity(m), below))
         factors.append(tuple(series))
-        lifted = pn.suspended(n * j)
-        conj = lifted if conj is None else conj * lifted
         qn = qn * q
-        n += 1
     # Conjugation by relabel at every vertex renames letters uniformly on
     # all levels, turning the recursion along sigma's cycle into the
     # recursion along the standard cycle (1 2 ... m).
-    conj = conj * _uniform_portrait(relabel, depth)
-    target = adding_machine(Context(m, K=ctx.K, D=ctx.D, L=depth), j)
-    conjugated = beta.portrait(depth).conjugated_by(conj)
+    conj = _stage_product(stages, j) * _uniform_portrait(relabel, depth)
+    target = adding_machine(Context(m, ctx.K, ctx.D, depth), j).portrait(depth)
+    conjugates = _products_equal(beta.portrait(depth), conj, conj, target, {})
     return AddingMachineConjugation(beta, j, depth, tuple(factors), relabel,
-                                    conj, target.portrait(depth), conjugated)
+                                    conj, target, conjugates)
+
+
+def _stage_product(stages, step):
+    """p_0 * p_1^(step) * p_2^(2 step) * ... for p_n of depth L - n step,
+    p^(k) being p suspended k levels.  Suspension is a homomorphism, so
+    this is p_0 * (p_1 * (p_2 * ...)^(step))^(step), folded from the right:
+    each partial product is a node of the result, not a full-depth prefix
+    product left in Portrait._products.
+    """
+    result = stages[-1]
+    for pn in reversed(stages[:-1]):
+        result = pn * result.suspended(step)
+    return result
 
 
 def closed_form_sequences(q, n_max):
@@ -429,15 +431,11 @@ def closed_form_conjugator(beta, depth=None):
     depth = ctx.depth(depth)
     qsum = PowerSeries(ctx.mod, ctx.D, system._qsum)
     _, cps = closed_form_sequences(qsum, depth)
-    conj = None
-    for n in range(depth):
-        sub = depth - n
-        if sub == 1:
-            pn = Portrait.make(Permutation.identity(2), ())
-        else:
-            ident = _uniform_portrait(Permutation.identity(2), sub - 1)
-            entry = beta.pow_series(cps[n]).inverse().portrait(sub - 1)
-            pn = Portrait.make(Permutation.identity(2), (ident, entry))
-        lifted = pn.suspended(n)
-        conj = lifted if conj is None else conj * lifted
-    return conj
+    one = Permutation.identity(2)
+    stages = []
+    for n in range(depth - 1):   # stage n has depth - n levels
+        entry = beta.pow_series(cps[n]).inverse().portrait(depth - n - 1)
+        ident = _uniform_portrait(one, depth - n - 1)
+        stages.append(Portrait.make(one, (ident, entry)))
+    stages.append(Portrait.make(one, ()))
+    return _stage_product(stages, 1)

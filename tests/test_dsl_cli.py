@@ -1,13 +1,16 @@
 """Script language and command-line behavior."""
 
+import contextlib
 import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import selfsim
 from selfsim import suites
@@ -473,6 +476,78 @@ def test_exit_math_errors(tmp_path, capsys):
     code, _, err = run_cli(["run", script], capsys)
     assert code == 4
     assert "unit" in err
+
+
+@pytest.mark.parametrize("line,code", [
+    ("portrait a^{1 +} L=2", 2),
+    ("portrait a^{y} L=2", 2),
+    ("portrait a^{} L=2", 2),
+    ("gen b = (e, b^{x^}) (1 2)", 2),
+    ('reduce "1 + + x" r="2 - x"', 2),
+    ('reduce "5" r="2 - - x"', 2),
+    ("portrait a^{x^9} L=2", 3),
+    ("gen b = (e, b^{x^9}) (1 2)", 3),
+    ('reduce "x^9" r="2 - x"', 3),
+])
+def test_exit_series_literals(tmp_path, capsys, line, code):
+    # a malformed literal is a parse error; a term past the degree bound D
+    # is a context error, like adding_machine's bound on x^(j-1)
+    script = write_script(tmp_path, "context m=2 K=8 D=8 L=8\n"
+                          "gen a = (e, a) (1 2)\n" + line + "\n")
+    got, out, err = run_cli(["run", script], capsys)
+    assert got == code, err
+    assert not out and err.startswith(script + ":3: ")
+    if code == 3:
+        assert "term degree 9 exceeds bound 8" in err
+
+
+def _series_text(coeffs):
+    terms = []
+    for d, c in enumerate(coeffs):
+        if c:
+            body = "%d*x^%d" % (abs(c), d) if d else str(abs(c))
+            terms.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(terms)
+    return text[2:] if text.startswith("+ ") else text
+
+
+@st.composite
+def fold_conjugate_scripts(draw):
+    """A single self-recursion (a^{p_1}, ..., a^{p_m}) s with s a full
+    cycle and p_1 + ... + p_m = x^(j-1) q, q(0) = 1 mod m, then one
+    conjugate statement whose j and L are drawn on their own."""
+    m = draw(st.integers(2, 4))
+    order = [1] + draw(st.permutations(range(2, m + 1)))
+    cycle = "(" + " ".join(map(str, order)) + ")"
+    j = draw(st.integers(1, 3))
+    coeff = st.integers(-2 * m, 2 * m)
+    exps = [draw(st.lists(coeff, min_size=3, max_size=3))
+            for _ in range(m - 1)]
+    total = [0] * (j - 1) + [1 + m * draw(coeff)] + draw(
+        st.lists(coeff, min_size=2, max_size=2))
+    exps.append([t - sum(e[d] for e in exps if d < len(e))
+                 for d, t in enumerate(total)])
+    entries = ", ".join("a^{%s}" % _series_text(e) if any(e) else "e"
+                        for e in exps)
+    return "\n".join([
+        "context m=%d K=8 D=8 L=8" % m,
+        "gen a = (%s) %s" % (entries, cycle),
+        "conjugate a j=%d L=%d" % (draw(st.integers(1, 3)),
+                                   draw(st.integers(1, 9))),
+    ]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_conjugate_scripts())
+def test_conjugate_scripts_exit_cleanly(text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "-"])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert [row["verified"] for row in rows_of(out.getvalue())] == [True]
 
 
 def test_exit_missing_script(capsys):

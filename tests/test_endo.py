@@ -1,16 +1,19 @@
 """Group-triple representations, transversal changes, and conjugators."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfsim.adic import NonUnit, PowerSeries
 from selfsim.intlin import hnf, lattice_index, left_kernel, solve_left
+from selfsim import endo
 from selfsim.tree import (
-    AutExpr, Context, DepthExceeded, FoldSystem, Permutation, System,
-    ShapeMismatch, adding_machine,
+    AutExpr, Context, DepthExceeded, FoldSystem, Permutation, Portrait,
+    System, ShapeMismatch, adding_machine, rooted_portrait,
 )
-from selfsim.tree import _uniform_portrait
+from selfsim.tree import _products_equal, _uniform_portrait
 from selfsim.endo import (
     FgAbelianGroup, NonUnitSum, SelfSimilarMachine, StageRootDrift,
     Transversal, VirtualEndo,
@@ -276,7 +279,8 @@ def test_conjugator_binary_series():
     beta = binary_series_beta()
     res = adding_machine_conjugator(beta, 1)
     assert res.verified()
-    assert res.conjugated == res.target
+    h = res.conjugator
+    assert h.inverse() * beta.portrait(10) * h == res.target
     mod, D = beta.system.ctx.mod, beta.system.ctx.D
     # stage entries carry minus the running exponent sums
     assert res.factors[0][1] == PowerSeries(mod, D)
@@ -333,6 +337,79 @@ def test_conjugator_random_shapes():
             beta = random_fold(rng, m, j, cx, invert_cycle=(trial == 2))
             res = adding_machine_conjugator(beta, j, depth=8)
             assert res.verified(), (m, j, trial)
+
+
+def left_fold(stages, step):
+    """The conjugator as the product of prefixes, p_0 * p_1^(step) first:
+    the fold the right-folded _stage_product replaced, kept as its oracle."""
+    conj = None
+    for n, pn in enumerate(stages):
+        lifted = pn.suspended(n * step)
+        conj = lifted if conj is None else conj * lifted
+    return conj
+
+
+def conjugates_by_products(beta, res):
+    """The product-path oracle of verified(): build h^-1 * beta * h."""
+    h = res.conjugator
+    return h.inverse() * beta.portrait(res.depth) * h == res.target
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 4), j=st.integers(1, 3), depth=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), invert=st.booleans())
+def test_right_fold_matches_left_fold(m, j, depth, seed, invert):
+    beta = random_fold(random.Random(seed), m, j,
+                       Context(m, K=10, D=10, L=10), invert_cycle=invert)
+    res = adding_machine_conjugator(beta, j, depth=depth)
+    with mock.patch.object(endo, "_stage_product", left_fold):
+        old = adding_machine_conjugator(beta, j, depth=depth)
+    assert res.conjugator is old.conjugator
+    assert res.verified() == conjugates_by_products(beta, res)
+
+
+def test_closed_form_matches_left_fold():
+    beta = binary_series_beta()
+    for depth in range(1, 11):
+        conj = closed_form_conjugator(beta, depth)
+        with mock.patch.object(endo, "_stage_product", left_fold):
+            assert closed_form_conjugator(beta, depth) is conj
+        res = adding_machine_conjugator(beta, 1, depth=depth)
+        assert conj == res.conjugator and res.verified()
+
+
+def test_perturbed_conjugators_fail_the_comparison():
+    beta = binary_series_beta()
+    stages = []
+
+    def record(parts, step):
+        stages.extend(parts)
+        return left_fold(parts, step)
+
+    with mock.patch.object(endo, "_stage_product", record):
+        res = adding_machine_conjugator(beta, 1)
+    b10, target = beta.portrait(10), res.target
+    relabel = _uniform_portrait(res.relabel, 10)
+    last = max(n for n, pn in enumerate(stages) if not pn.is_identity())
+    dropped = list(stages)
+    dropped[last] = _uniform_portrait(Permutation.identity(2),
+                                      stages[last].depth)
+    swap = rooted_portrait(Permutation([2, 1]), 10)
+    for h in (left_fold(dropped, 1) * relabel, res.conjugator * swap,
+              swap * res.conjugator):
+        assert not _products_equal(b10, h, h, target, {})
+        assert h.inverse() * b10 * h != target
+    h = res.conjugator
+    assert _products_equal(b10, h, h, target, {})
+
+
+def test_conjugator_builds_no_inverse_portrait():
+    # the verification compares beta * h with h * target node by node and
+    # the stages are folded from the right, so no portrait is inverted
+    Portrait.clear_tables()
+    res = adding_machine_conjugator(binary_series_beta(), 1)
+    assert res.verified()
+    assert len(Portrait._inverses) == 0
 
 
 def test_conjugator_errors():

@@ -21,11 +21,11 @@ from selfsim import closure
 from selfsim.adic import PowerSeries
 from selfsim.closure import (
     _fold_abelian_depth, _fold_recurrence_witness, _level_portrait,
-    _products_equal, _word_portraits, state_closure,
+    _word_portraits, state_closure,
 )
 from selfsim.tree import (
-    AutExpr, Context, FoldSystem, Permutation, adding_machine,
-    rooted_portrait,
+    AutExpr, Context, FoldSystem, Permutation, _products_equal,
+    adding_machine, rooted_portrait,
 )
 
 from test_fold_keys import exponents, fold_systems
