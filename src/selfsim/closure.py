@@ -16,9 +16,9 @@ product per form with its own exponent, and a child's tuple
 anything else the walk runs on expressions, deduplicated by their
 depth-bounded portraits, which are hash-consed and therefore cheap keys.
 
-After the walk, state_closure picks its checks by engine once; either
-engine looks for recurrence witnesses with one candidate scan (_witnessed)
-that stops at the first full match.
+After the walk, either engine is certified abelian by its state names
+(_names_abelian_depth) and looks for recurrence witnesses with one
+candidate scan (_witnessed) that stops at the first full match.
 
 Peeling writes an element of an abelian-verified closure as a product of
 basis elements with power-series exponents, one stabilized layer at a time;
@@ -33,7 +33,7 @@ from operator import mul
 from .adic import PowerSeries
 from .tree import (
     AutExpr, Context, ContextError, NotAbelian, Permutation, Portrait,
-    ShapeMismatch, System, _products_equal, _uniform_portrait,
+    ShapeMismatch, System,
 )
 
 ENUM_CAP = 10000
@@ -235,84 +235,26 @@ def _root_orbits(roots, m):
     return tuple(orbits)
 
 
-def _portrait_power(node, e):
-    """node ** e for e >= 1, by repeated squaring with the memoized product."""
-    result = None
-    while True:
-        if e & 1:
-            result = node if result is None else result._mul(node)
-        e >>= 1
-        if not e:
-            return result
-        node = node._mul(node)
-
-
-def _level_portrait(system, levels):
-    """The fold generator's level-s portrait, s = len(levels).
-
-    levels[l] is the level-l portrait for 1 <= l < s (levels[0] is unused).
-    This is the digit recursion of FoldSystem.level_perm_fast on portrait
-    nodes: the root is sigma, and the child at letter y is the product, in
-    increasing degree d, of the level-(s-1-d) portrait raised to
-    p_y[d] mod m^(s-1-d) and suspended d levels.
-    """
-    s = len(levels)
-    if s == 1:
-        return Portrait.make(system.sigma, ())
-    m = system.ctx.m
-    kids = []
-    for lifts in system._plifts:
-        kid = None
-        for d, p in enumerate(lifts[:s - 1]):
-            sub = s - 1 - d
-            e = p % m ** sub
-            if e:
-                factor = _portrait_power(levels[sub], e).suspended(d)
-                kid = factor if kid is None else kid._mul(factor)
-        if kid is None:
-            kid = _uniform_portrait(Permutation.identity(m), s - 1)
-        kids.append(kid)
-    return Portrait.make(system.sigma, tuple(kids))
-
-
-def _fold_abelian_depth(system, depth):
-    """Certify a single-generator recursion abelian levelwise.
-
-    Every closure element is a product of diagonal copies of the generator,
-    so the level-s image of the closure is generated by the block-diagonal
-    embeddings (suspensions) of the generator's own level portraits.
-    Those come from the digit recursion (_level_portrait), which composes
-    factors strictly in definition order and never calls the fold engine;
-    their pairwise commutation therefore certifies both the abelian claim
-    and the engine's exponent merging to depth s without assuming either.
-    All those comparisons walk one portrait DAG, so they share one memo of
-    node products: the cost follows the distinct node pairs compared over
-    the whole certificate, not the m^s vertices, nor each pair's own
-    subtrees again.  The tops and their suspended copies are kept in lists
-    for as long as that memo, which is keyed on node ids.
-    Returns the largest s <= depth such that every level up to s passes.
-    """
-    levels = [None]
-    copies = []
-    memo = {}
-    for s in range(1, depth + 1):
-        top = _level_portrait(system, levels)
-        levels.append(top)
-        for t in range(1, s):
-            low = levels[s - t].suspended(t)
-            copies.append(low)
-            if not _products_equal(top, low, low, top, memo):
-                return s - 1
-    return depth
-
-
 def _names_abelian_depth(system, names, depth):
     """Largest d <= depth to which the named generators pairwise commute.
 
-    Every state of a generic closure is a word in the generator names it
-    contains, and depth-d truncation is a homomorphism, so pairwise
-    commutation of those names to depth d certifies every pair of states
-    to depth d: k(k - 1)/2 commutators for k names, and no sample.
+    A closure's states are words in the names they contain and in their
+    diagonal shifts a^{x^i} = (a^{x^(i-1)}, ..., a^{x^(i-1)}).  When the
+    children of each name are such words too, pairwise commutation of the
+    names to depth d makes all those generators commute to depth d, by
+    induction on d:
+    - two names commute by the check;
+    - two shifts a^{x^i}, b^{x^j} are diagonals and commute when
+      a^{x^(i-1)} and b^{x^(j-1)} do to depth d - 1;
+    - a diagonal commutes with any root, so a name a and a shift b^{x^j}
+      commute when each child of a, a word in the generators, commutes
+      with b^{x^(j-1)} to depth d - 1.
+    Truncation is a homomorphism, so every pair of states commutes to
+    depth d: k(k - 1)/2 commutators for k names, and no sample.  A fold
+    generator's children are powers of it and its shifts, so a fold
+    closure has one name and computes no commutator; when the names are
+    every defined generator, the case that marks the system, every child
+    is a word in them.
     """
     gens = [system.gen(name) for name in sorted(names)]
     best = depth
@@ -406,20 +348,20 @@ def state_closure(generators, depth=None):
 
     depth bounds both the deduplication of states and every verification
     in the report (defaults to the context depth L); more than ENUM_CAP
-    states raise SaturationOverflow.  A generic closure is certified
-    abelian to the depth to which the generator names in its states
-    pairwise commute; if that is the full context depth, and those names
-    are every defined generator, the system is marked so, which lets later
-    algebra merge exponents.
+    states raise SaturationOverflow.  Either closure is certified abelian
+    to the depth to which the generator names in its states pairwise
+    commute (one fold name needs no commutator); if that is the full
+    context depth, and those names are every defined generator, the system
+    is marked so, which lets later algebra merge exponents.
 
     A fold closure checks its linear keys after the walk: when it keeps at
     most SPOT_CHECK_CAP states, each state's portrait is expanded once on
     the word path (_word_portraits, which never reads the key) and the
     first state whose portrait was seen raises DedupeCollision.  The cap
     stays because word-path expansion does not merge exponents of one
-    class.  The fold abelian certificate and recurrence witness read the
-    generator and the kept exponents, not the states.  Either witness scan
-    stops at the first candidate that completes the match.
+    class.  The fold recurrence witness reads the generator and the kept
+    exponents, not the states.  Either witness scan stops at the first
+    candidate that completes the match.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -460,7 +402,6 @@ def state_closure(generators, depth=None):
                     raise DedupeCollision(
                         "states %r and %r share a portrait but not a key"
                         % (a, b))
-        abelian = _fold_abelian_depth(system, depth)
     else:
         def key(expr):
             return expr.portrait(depth)
@@ -468,11 +409,11 @@ def state_closure(generators, depth=None):
         states = _capped(_walk(
             seeds, lambda expr: _built(expr.decompose()[1], key), key),
             ENUM_CAP, overflow)
-        names = {name for s in states for name, _ in s.word}
-        abelian = _names_abelian_depth(system, names, depth)
-        # a mark merges the words of every defined name, so it needs all
-        if abelian >= ctx.L and names >= set(system.names()):
-            system.mark_abelian(abelian)
+    names = {name for s in states for name, _ in s.word}
+    abelian = _names_abelian_depth(system, names, depth)
+    # a mark merges the words of every defined name, so it needs all
+    if abelian >= ctx.L and names >= set(system.names()):
+        system.mark_abelian(abelian)
 
     roots = [g.root() for g in generators]
     orbits = _root_orbits(roots, ctx.m)

@@ -22,7 +22,7 @@ from math import gcd
 from .adic import NonUnit, PowerSeries
 from .intlin import lattice_index, left_kernel, solve_left
 from .tree import (
-    AutExpr, Context, FoldSystem, Permutation, Portrait, ShapeMismatch,
+    Context, ContextError, FoldSystem, Permutation, Portrait, ShapeMismatch,
     System, _products_equal, _uniform_portrait, adding_machine,
 )
 
@@ -315,15 +315,18 @@ def adding_machine_conjugator(beta, j, depth=None):
     beta must be the generator of a fold system whose exponent sum is
     q * x^(j-1) with q a unit congruent to 1 mod m; the returned object
     carries the conjugator portrait and the verified conjugation.  Raises
-    NonUnitSum when the exponent sum has the wrong valuation or a non-unit
-    q, and NonUnit when q(0) is a unit other than 1 mod m (the corecursion
-    then changes the root cycle each stage and never converges).
+    ContextError when j - 1 > D, NonUnitSum when the exponent sum has the
+    wrong valuation or a non-unit q, and NonUnit when q(0) is a unit other
+    than 1 mod m (the corecursion then changes the root cycle each stage
+    and never converges).
     """
     system = FoldSystem.of(beta)
     ctx = system.ctx
     depth = ctx.depth(depth)
-    if j < 1 or j - 1 > ctx.D:
+    if j < 1:
         raise ValueError("shift %d outside the degree bound" % j)
+    if j - 1 > ctx.D:
+        raise ContextError("shift %d outside the degree bound" % j)
     qsum = system._qsum
     if any(qsum[:j - 1]):
         raise NonUnitSum("exponent sum is not q * x^%d" % (j - 1))

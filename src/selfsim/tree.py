@@ -29,9 +29,7 @@ import re
 from math import gcd, lcm
 from operator import mul
 
-from .adic import (
-    MAdicInt, Memo, Modulus, PowerSeries, reduce_digits, split_relator,
-)
+from .adic import MAdicInt, Memo, Modulus, PowerSeries
 
 
 class ContextError(ValueError):
@@ -727,12 +725,12 @@ class System(object):
     def mark_abelian(self, depth):
         """Record an abelianness certificate; enables sorted-merged words.
 
-        Only a certificate at full context depth changes normalization,
-        since memo keys must stay sound for every depth-bounded question.
+        Only a certificate at full context depth changes normalization, so
+        only the first one forgets the memos, whose keys must stay sound.
         """
-        self._abelian_depth = max(self._abelian_depth, depth)
-        if depth >= self.ctx.L:
+        if depth >= self.ctx.L and not self.abelian_certified():
             self._forget()
+        self._abelian_depth = max(self._abelian_depth, depth)
 
     def abelian_certified(self):
         return self._abelian_depth >= self.ctx.L
@@ -990,14 +988,15 @@ class FoldSystem(System):
     where P[c][y] = p_y + p_{(y)s} + ... + p_{(y)s^(c-1)} is read from a
     table of prefix sums along the cycle, built once at construction, so
     each child is a single vector add (_exponent_child).
-    The state-closure of such a generator is abelian, so exponents add;
-    all coefficients live mod m^K and one digit of scalar precision is
+    The state-closure of such a generator is abelian (one name in
+    closure._names_abelian_depth's induction), so exponents add; all
+    coefficients live mod m^K and one digit of scalar precision is
     consumed per level, exactly matching the K >= L context rule.
 
     g^Q and g^Q' agree to depth n exactly when Q - Q' lies in the ideal
     (r, x^n) of Z[x], r = m - x*(p_1+...+p_m) the annihilator.  Two keys
-    decide that: the canonical digit prefix (exponent_digits, a carry
-    pass, kept as the oracle) and the linear key of key_forms, a few dot
+    decide that: the canonical digit prefix (a carry pass, kept in the
+    tests as the oracle) and the linear key of key_forms, a few dot
     products with weights fixed per depth.  Because the linear key is
     additive, the closure walk derives every child's key from its parent
     and builds only the children whose key is new.  Portraits are memoized
@@ -1083,19 +1082,6 @@ class FoldSystem(System):
         """The series m - x*(p_1+...+p_m), which kills the generator."""
         return self._annihilator
 
-    def exponent_digits(self, coeffs, n):
-        """The first n canonical digits of an exponent modulo the annihilator.
-
-        coeffs are integers indexed by degree, signed or unreduced.  Equal
-        to reduce_mod_r(coeffs, self.annihilator()).digits[:n]: carries
-        only move to higher degrees, so the first n digits depend on the
-        first n coefficients alone.
-        """
-        # split_relator rejects K = 1, where m is 0 mod m^K
-        q, j = split_relator(self._annihilator)
-        n = min(n, self.ctx.D + 1)
-        return tuple(reduce_digits(coeffs[:n], self.ctx.m, q.lifts(), j, n - 1))
-
     def key_forms(self, n):
         """Weights of a complete linear key for exponents at depth n.
 
@@ -1103,8 +1089,8 @@ class FoldSystem(System):
         [0, m^n), and an exponent Q (integers by degree, signed or not)
         has the values sum(Q[j] * f[j]) mod m^n.  Two exponents have equal
         values under every form exactly when their first n canonical
-        digits (exponent_digits) agree.  There is one form when q(0) is a
-        unit mod m, q = p_1 + ... + p_m, and n forms otherwise.
+        digits modulo the annihilator agree.  There is one form when q(0)
+        is a unit mod m, q = p_1 + ... + p_m, and n forms otherwise.
 
         Proof.  Let r = m - x*q and s = m^n * r^(-1) mod x^n.  Comparing
         coefficients in r*s = m^n gives s_0 = m^(n-1) and

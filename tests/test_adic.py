@@ -522,6 +522,7 @@ def test_relator_is_split_once_per_series(monkeypatch):
     # relator series; a bad relator is rejected every time, never kept
     from selfsim import adic
     from selfsim.tree import Context, FoldSystem
+    from test_fold_keys import exponent_digits
     monkeypatch.setattr(adic, "_splits", adic.Memo(4))
     calls = []
     split = adic.relator_parts
@@ -536,8 +537,8 @@ def test_relator_is_split_once_per_series(monkeypatch):
     assert calls == [r]
     system = FoldSystem(Context(3, K=5, D=5, L=5), "g", [0, 1, "1 + x"],
                         "(1 2 3)")   # annihilator 3 - 2*x - x^2
-    system.exponent_digits((4, 1, 0, 0, 0, 0), 3)
-    system.exponent_digits((5, 1, 0, 0, 0, 0), 3)
+    exponent_digits(system, (4, 1, 0, 0, 0, 0), 3)
+    exponent_digits(system, (5, 1, 0, 0, 0, 0), 3)
     assert calls == [r, system.annihilator()]
     assert not hasattr(system, "_relator")
     bad = parse_series("2 - x", mod, 5)

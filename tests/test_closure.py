@@ -146,6 +146,32 @@ def test_closure_generic_machine_and_certification():
     assert rep.recurrent_witnessed
 
 
+MEMOS = ("_atom_memo", "_word_memo", "_identity_memo", "_portrait_memo")
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_second_closure_keeps_the_memos(fold):
+    # the first full-depth mark forgets the memos; a closure of a system
+    # that is already certified must not throw them away again
+    ctx = Context(2, K=8, D=8, L=8)
+    if fold:
+        b = FoldSystem(ctx, "b", [0, 1], "(1 2)").generator()
+    else:
+        system = System(ctx)
+        b = system.gen("b")
+        system.define("b", "(1 2)", ["e", b])
+    state_closure([b])
+    assert b.system.abelian_certified()
+    (b * b).portrait(5)
+    memos = [getattr(b.system, name) for name in MEMOS]
+    entries = [dict(memo) for memo in memos]
+    assert any(entries)
+    state_closure([b])
+    assert [getattr(b.system, name) for name in MEMOS] == memos
+    for memo, kept in zip(memos, entries):
+        assert kept.items() <= memo.items()
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_binary_adding_machine_recurrence_at_shallow_depths(depth):
     # witness candidates are told apart by their first-letter states at the

@@ -432,6 +432,16 @@ def test_exit_conjugate_depth_reports_requested_depth(tmp_path, capsys):
     assert "depth 20 exceeds truncation 8" in err
 
 
+def test_exit_conjugate_shift_past_degree_bound(tmp_path, capsys):
+    # x^(j-1) past D is a context error, as in adding_machine
+    script = write_script(tmp_path, "context m=2 K=8 D=8 L=8\n"
+                          "gen a = (e, a) (1 2)\nconjugate a j=10 L=4\n")
+    code, out, err = run_cli(["run", script], capsys)
+    assert code == 3
+    assert not out and err.startswith(script + ":3: ")
+    assert "shift 10 outside the degree bound" in err
+
+
 def test_order_has_no_enumeration_limit(tmp_path, capsys):
     # 3^14 vertices on the last level: past what enumeration could afford
     script = write_script(tmp_path, "context m=3 K=14 D=14 L=14\n"

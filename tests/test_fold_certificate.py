@@ -1,8 +1,9 @@
 """The fold closure's checks on the portrait DAG, against their oracles.
 
-`closure._fold_abelian_depth` builds the generator's level portraits by
-the digit recursion and compares g * x^t g with x^t g * g node by node,
-with one memo of node products for the whole certificate.  One oracle is
+`suites._fold_abelian_depth`, the `verify fold` gate's abelian
+certificate, builds the generator's level portraits by the digit
+recursion and compares g * x^t g with x^t g * g node by node, with one
+memo of node products for the whole certificate.  One oracle is
 the flat certificate it replaced: the same recursion on m^s-entry
 level-permutation tuples (`FoldSystem.level_perm_fast`), with each
 diagonal copy embedded block by block; the other is the loop that gave
@@ -17,14 +18,14 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from selfsim import closure
+from selfsim import closure, suites
 from selfsim.adic import PowerSeries
 from selfsim.closure import (
-    _fold_abelian_depth, _fold_recurrence_witness, _level_portrait,
-    _word_portraits, state_closure,
+    _fold_recurrence_witness, _word_portraits, state_closure,
 )
+from selfsim.suites import _fold_abelian_depth, _level_portrait
 from selfsim.tree import (
-    AutExpr, Context, FoldSystem, Permutation, _products_equal,
+    AutExpr, Context, FoldSystem, Permutation, Portrait, _products_equal,
     adding_machine, rooted_portrait,
 )
 
@@ -119,8 +120,7 @@ def test_commutes_rejects_non_commuting_pairs():
 def test_adding_machines_certified_to_depth_twelve(m):
     # the flat certificate stopped at 11, 9, 8 for m = 3, 4, 5 on cost
     a = adding_machine(Context(m, K=12, D=12, L=12), 1)
-    report = state_closure([a], depth=12)
-    assert report.abelian_to_depth == 12
+    assert _fold_abelian_depth(a.system, 12) == 12
 
 
 # ------------------------------------------- one memo for the certificate
@@ -129,7 +129,7 @@ def per_pair_certificate(system, depth):
     """The certificate with a new _commutes memo for every pair."""
     levels = [None]
     for s in range(1, depth + 1):
-        top = closure._level_portrait(system, levels)
+        top = suites._level_portrait(system, levels)
         levels.append(top)
         if not all(_commutes(top, levels[s - t].suspended(t))
                    for t in range(1, s)):
@@ -159,10 +159,36 @@ def test_shared_memo_certificate_matches_on_non_commuting_levels(word, depth):
         expr = expr * gens[i]
     system = FoldSystem(Context(2, K=7, D=6, L=6), "g", [0, 1], "(1 2)")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(closure, "_level_portrait",
+        patch.setattr(suites, "_level_portrait",
                       lambda system, levels: expr.portrait(len(levels)))
         assert (_fold_abelian_depth(system, depth)
                 == per_pair_certificate(system, depth))
+
+
+def test_fold_gate_fails_on_a_broken_certificate():
+    # state_closure no longer runs the certificate, so the fold-family
+    # gate must: with the level portraits replaced by the Grigorchuk b,
+    # which does not commute with its own suspension, every draw fails
+    b = grigorchuk()[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suites, "_level_portrait",
+                      lambda system, levels: b.portrait(len(levels)))
+        checks = suites.criterion_fold_family()
+    assert len(checks) == 50
+    assert not any(ok for _, ok in checks)
+
+
+def test_fold_closure_leaves_no_portrait_products():
+    # the names rule computes no product; the certificate it replaced left
+    # 6,757 entries in Portrait._products over the fold_base closures
+    Portrait.clear_tables()
+    for p, cycle in ((["-3 + 2*x", "-2 - 3*x", "-1 - x"], "(1 2 3)"),
+                     ([0, "1 + x"], "(1 2)"), ([0, 0, 0, 2], "(1 2 3 4)")):
+        system = FoldSystem(Context(len(p), K=9, D=8, L=8), "g", p, cycle)
+        for depth in (3, 6, 8):
+            report = state_closure([system.generator()], depth=depth)
+            assert report.abelian_to_depth == depth
+    assert len(Portrait._products) == 0
 
 
 # ------------------------------------------------ the lazy witness pool

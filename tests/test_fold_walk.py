@@ -17,7 +17,7 @@ from selfsim.tree import (
     AutExpr, Context, FoldSystem, Permutation, ShapeMismatch, System,
 )
 
-from test_fold_keys import exponents, fold_systems
+from test_fold_keys import exponent_digits, exponents, fold_systems
 
 
 def word_walk(generators, depth):
@@ -29,7 +29,7 @@ def word_walk(generators, depth):
     def visit(expr):
         word = system._normalize(expr.word)
         coeffs = word[0][1] if word else (0,) * (system.ctx.D + 1)
-        key = system.exponent_digits(coeffs, depth)
+        key = exponent_digits(system, coeffs, depth)
         if key in seen:
             return None
         if len(seen) >= ENUM_CAP:
@@ -97,7 +97,7 @@ def machine_walk(expr, depth):
     def visit(e):
         word = system._normalize(e.word)
         coeffs = word[0][1] if word else (0,) * (system.ctx.D + 1)
-        key = system.exponent_digits(coeffs, depth)
+        key = exponent_digits(system, coeffs, depth)
         if key not in names:
             names[key] = "q%d" % len(names)
             order.append((names[key], e))
