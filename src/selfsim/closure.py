@@ -114,7 +114,7 @@ def _built(items, key=None):
 def _word_portraits(system, exprs, depth):
     """The depth-d portraits of exprs, one at a time, on the word path.
 
-    Nodes come from system._word_decompose alone, memoized per (word,
+    Nodes come from system._decompose_normal alone, memoized per (word,
     depth) for this call and interned by Portrait.make; the keyed portrait
     memo of a fold system is never read, so comparing these nodes checks
     the linear key independently.  Equal words share a node, but words of
@@ -126,13 +126,13 @@ def _word_portraits(system, exprs, depth):
     def expand(word, d):
         node = memo.get((word, d))
         if node is None:
-            root, children = system._word_decompose(word)
+            root, children = system._decompose_normal(word)
             node = memo[word, d] = Portrait.make(root, () if d == 1 else tuple(
                 [expand(w, d - 1) for w in children]))
         return node
 
     for expr in exprs:
-        yield expand(expr.word, depth)
+        yield expand(system._normalize(expr.word), depth)
 
 
 def _walk(seeds, children, key=None):

@@ -351,10 +351,8 @@ def adding_machine_conjugator(beta, j, depth=None):
             raise StageRootDrift(
                 "stage %d root %r drifted off the base cycle %r"
                 % (n, root, system.sigma))
-        exps = []
-        for child in kids:
-            w = system._normalize(child.word)
-            exps.append(PowerSeries(ctx.mod, ctx.D, w[0][1] if w else ()))
+        exps = [PowerSeries(ctx.mod, ctx.D, c.word[0][1] if c.word else ())
+                for c in kids]
         sub_depth = depth - n * j
         partial = PowerSeries(ctx.mod, ctx.D)
         entries, series = [None] * m, [None] * m

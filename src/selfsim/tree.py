@@ -13,15 +13,19 @@ under p is written (y)p and p*q means "apply p, then q".  Entries of a
 wreath recursion are indexed by source letter: the generator
 (w_1, ..., w_m)s sends a vertex y.u to (y)s . u^{w_y}.
 
-Two expansion engines live here.  A System holds arbitrary named recursions
-and unfolds words by the product rule; a FoldSystem holds one generator
-g = (g^{p_1}, ..., g^{p_m})s with s an m-cycle, whose state-closure is
-abelian, and folds whole power-series exponents in one step.  The fold
-consumes one scalar digit of precision per level, which is why contexts
-require K >= L and D >= L: depth-L observations are then exact.  Fold
-portraits are memoized by the linear key of the exponent's class in
-Z[x]/(r, x^d), so their cost follows the at most m^d classes per depth,
-not the number of exponent words.
+A System holds arbitrary named recursions and unfolds words by the
+product rule.  Each expansion entry point (_word_decompose, _is_identity,
+_portrait) normalizes its word once; the recursion behind it
+(_decompose_normal, _identity_normal, _portrait_normal) trusts the word it
+is given, because every child a decomposition returns is already normal.
+A FoldSystem holds one generator g = (g^{p_1}, ..., g^{p_m})s with s an
+m-cycle, whose state-closure is abelian.  It shares that word path and
+differs at the atom, which it decomposes by folding the whole power-series
+exponent in one step.  The fold consumes one scalar digit of precision per
+level, which is why contexts require K >= L and D >= L: depth-L
+observations are then exact.  Fold portraits are memoized by the linear
+key of the exponent's class in Z[x]/(r, x^d), so their cost follows the at
+most m^d classes per depth, not the number of exponent words.
 """
 
 import os
@@ -588,11 +592,11 @@ class AutExpr(object):
         if len(u) > self.system.ctx.L:
             raise DepthExceeded("vertex word longer than depth bound %d" % self.system.ctx.L)
         image = []
-        word = self.word
+        word = self.system._normalize(self.word)
         for letter in u:
             if not 1 <= letter <= self.system.ctx.m:
                 raise ValueError("letter %r outside 1..%d" % (letter, self.system.ctx.m))
-            root, children = self.system._word_decompose(word)
+            root, children = self.system._decompose_normal(word)
             image.append(root.apply(letter))
             word = children[letter - 1]
         return image, AutExpr(self.system, word)
@@ -653,6 +657,10 @@ class System(object):
     discovered on demand).  All expansion results are memoized; words used
     as memo keys are normalized but never rewritten modulo any relator, so
     identity tests stay independent of the algebra they are used to check.
+    The entry points normalize a word once and the *_normal recursions
+    trust theirs: a one-atom word is answered by _atom_decompose and kept
+    only in the atom memo, and the product loop of _decompose_normal is
+    the one place that normalizes the children of a longer word.
     """
 
     foldable = False
@@ -930,7 +938,11 @@ class System(object):
         return inv_root, inv_children
 
     def _word_decompose(self, word):
-        word = self._normalize(word)
+        return self._decompose_normal(self._normalize(word))
+
+    def _decompose_normal(self, word):
+        if len(word) == 1:
+            return self._atom_decompose(word[0])
         hit = self._word_memo.get(word)
         if hit is not None:
             return hit
@@ -948,40 +960,46 @@ class System(object):
             word, (root, tuple(self._normalize(w) for w in children)))
 
     def _is_identity(self, word, depth):
-        word = self._normalize(word)
+        return self._identity_normal(self._normalize(word), depth)
+
+    def _identity_normal(self, word, depth):
         if not word or depth <= 0:
             return True
         key = (word, depth)
         hit = self._identity_memo.get(key)
         if hit is not None:
             return hit
-        root, children = self._word_decompose(word)
+        root, children = self._decompose_normal(word)
         ok = root.is_identity()
         if ok and depth > 1:
-            ok = all(self._is_identity(w, depth - 1) for w in children)
+            ok = all(self._identity_normal(w, depth - 1) for w in children)
         return self._identity_memo.put(key, ok)
 
     def _portrait(self, word, depth):
-        word = self._normalize(word)
+        return self._portrait_normal(self._normalize(word), depth)
+
+    def _portrait_normal(self, word, depth):
         key = (word, depth)
         hit = self._portrait_memo.get(key)
         if hit is not None:
             return hit
-        root, children = self._word_decompose(word)
+        root, children = self._decompose_normal(word)
         if depth == 1:
             node = Portrait.make(root, ())
         else:
             node = Portrait.make(
-                root, tuple(self._portrait(w, depth - 1) for w in children))
+                root, tuple(self._portrait_normal(w, depth - 1) for w in children))
         return self._portrait_memo.put(key, node)
 
 
 class FoldSystem(System):
     """One generator g = (g^{p_1}, ..., g^{p_m})s with s a full m-cycle.
 
-    Exponent words fold level by level: for an exponent series Q with
-    constant part v = c + m*xi (0 <= c < m) and tail Q', the decomposition
-    is root s^c with the child at source y equal to g raised to
+    It differs from System only in its atom formula (_atom_decompose), its
+    keyed portraits (_portrait) and its series powers (_pow_series); words
+    take System's path.  An atom g^Q, where Q has constant part
+    v = c + m*xi (0 <= c < m) and tail Q', has root s^c and the child at
+    source y equal to g raised to
 
         P[c][y]  +  (p_1+...+p_m)*xi  +  Q',
 
@@ -1140,30 +1158,6 @@ class FoldSystem(System):
         if hit is not None:
             return hit
         return self._key_tables.put(n, (self.key_forms(n), self.ctx.m ** n))
-
-    def _const_decompose(self, name, n):
-        raise AssertionError("fold systems decompose atoms directly")
-
-    # A normalized fold word is empty or one atom, whose decomposition
-    # _atom_decompose already returns in canonical form; only other words
-    # take the generic path.
-
-    def _normalize(self, word):
-        if len(word) == 1:
-            name, coeffs = word[0]
-            coeffs = self._canon_coeffs(coeffs)
-            return ((name, coeffs),) if any(coeffs) else ()
-        return super()._normalize(word)
-
-    def _word_decompose(self, word):
-        if len(word) == 1:
-            hit = self._atom_memo.get(word[0])
-            if hit is not None:
-                return hit
-        word = self._normalize(word)
-        if len(word) == 1:
-            return self._atom_decompose(word[0])
-        return super()._word_decompose(word)
 
     def _exponent(self, word):
         """The exponent coefficients of a word (zeros for the identity)."""

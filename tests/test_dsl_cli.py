@@ -560,6 +560,70 @@ def test_conjugate_scripts_exit_cleanly(text):
         assert [row["verified"] for row in rows_of(out.getvalue())] == [True]
 
 
+# (name index, power, shift) factors; a series power needs a plain
+# generator, or a system marked abelian
+SESSION_WORDS = st.lists(st.tuples(
+    st.integers(0, 7), st.sampled_from(["", "", "^2", "^-1", "^3", "^{1 + x}"]),
+    st.integers(0, 4)), min_size=1, max_size=3)
+
+
+@st.composite
+def session_scripts(draw):
+    """A binary session: one or two generators whose entries are words in
+    them, a let made before a full-depth closure that may mark the system
+    abelian, then portrait, act, order, zeta, closure and let statements
+    on those names.  Depths, vertices and shifts stay inside their
+    bounds, so most scripts exit 0."""
+    L = draw(st.integers(1, 3))
+    gens = ["a", "b"][:draw(st.integers(1, 2))]
+
+    def word(names):
+        return "*".join(
+            names[i % len(names)] + power + ("@%d" % d if d else "")
+            for i, power, d in draw(SESSION_WORDS))
+
+    def entry():
+        return "e" if draw(st.booleans()) else word(gens)
+
+    depth = st.integers(1, L)
+    lines = ["context m=2 K=4 D=4 L=%d" % L]
+    for g in gens:
+        lines.append("gen %s = (%s, %s)%s" % (
+            g, entry(), entry(), draw(st.sampled_from(["", " (1 2)"]))))
+    lines += ["let u = %s" % word(gens),
+              "closure %s depth=%d" % (" ".join(gens), L)]
+    names = gens + ["u"]
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(
+            ["portrait", "act", "order", "zeta", "closure", "let"]))
+        w = word(names)
+        if kind == "act":
+            lines.append("act %s %s" % (w, ".".join(map(str, draw(
+                st.lists(st.integers(1, 2), min_size=1, max_size=L))))))
+        elif kind == "closure":
+            lines.append("closure %s %s depth=%d"
+                         % (w, word(names), draw(depth)))
+        elif kind == "let":
+            lines.append("let v%d = %s" % (i, w))
+            names.append("v%d" % i)
+        else:
+            lines.append("%s %s L=%d" % (kind, w, draw(depth)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(session_scripts())
+def test_session_scripts_exit_cleanly(text):
+    statements = parse_script(text)
+    assert parse_script(format_script(statements)) == statements
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "-"])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_exit_missing_script(capsys):
     code, _, err = run_cli(["run", "/no/such/file.sel"], capsys)
     assert code == 2

@@ -10,10 +10,14 @@ diagonal copy embedded block by block; the other is the loop that gave
 every pair its own `_commutes` memo.  The recurrence witness makes its
 candidates as the scan reaches them; its oracle is the search that built
 them all first.  The DedupeCollision spot check compares word-path
-portraits; its oracle is pairwise `equal_to_depth`.
+portraits; its oracle is pairwise `equal_to_depth`.  The gate's peel
+check compares the digits a depth-8 peel determines, those below degree
+8, and checks g raised to the `reduce_mod_r` series against g^n.
 """
 
 import itertools
+import random
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -176,6 +180,53 @@ def test_fold_gate_fails_on_a_broken_certificate():
         checks = suites.criterion_fold_family()
     assert len(checks) == 50
     assert not any(ok for _, ok in checks)
+
+
+def fold_gate(patch, seed=20240811, perturb=None, peel_too=False):
+    """Whether each criterion_fold_family check passes, with the draws
+    seeded by seed, and reduce_mod_r's digit at degree perturb (if any)
+    moved by one; with peel_too, peel returns the moved digits as well."""
+    seeded = random.Random
+    patch.setattr(suites, "random",
+                  types.SimpleNamespace(Random=lambda _: seeded(seed)))
+    if perturb is not None:
+        reduce = suites.reduce_mod_r
+
+        def moved(n, r):
+            digits = list(reduce(n, r).digits)
+            digits[perturb] = (digits[perturb] + 1) % r.mod.m
+            return types.SimpleNamespace(digits=tuple(digits))
+
+        patch.setattr(suites, "reduce_mod_r", moved)
+        if peel_too:
+            patch.setattr(suites, "peel", lambda target, basis: [PowerSeries(
+                target.system.ctx.mod, target.system.ctx.D,
+                moved(target.system._exponent(target.word)[0],
+                      target.system.annihilator()).digits)])
+    checks = suites.criterion_fold_family()
+    assert len(checks) == 50
+    return [ok for _, ok in checks]
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_fold_gate_compares_only_the_determined_digits(seed):
+    # each seed draws one power whose peel differs from reduce_mod_r only
+    # at degree 8, which a depth-8 portrait cannot see
+    with pytest.MonkeyPatch.context() as patch:
+        assert all(fold_gate(patch, seed))
+
+
+@pytest.mark.parametrize("degree,passes", [(7, False), (8, True)])
+def test_fold_gate_sees_every_determined_digit(degree, passes):
+    with pytest.MonkeyPatch.context() as patch:
+        assert fold_gate(patch, perturb=degree) == [passes] * 50
+
+
+def test_fold_gate_checks_the_reduced_series_against_the_power():
+    # peel agreeing with a wrong reduce_mod_r still fails: g raised to the
+    # reduced series is not g^n at depth 8
+    with pytest.MonkeyPatch.context() as patch:
+        assert not any(fold_gate(patch, perturb=3, peel_too=True))
 
 
 def test_fold_closure_leaves_no_portrait_products():

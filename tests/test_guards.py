@@ -7,7 +7,9 @@ other comparison that reads a bound fails too.  The closure walk keys fold
 states without the digit carry pass, which stays an independent oracle.
 Fold portraits are memoized by the same linear key, so the word expansion
 behind the closure's DedupeCollision check, and the check's own portrait
-helper, must not reach that key.  Every cost cap and budget the package
+helper, must not reach that key.  A FoldSystem shares System's word path
+and differs only at the atom, and the recursions on normal words never
+normalize again.  Every cost cap and budget the package
 defines is read by the package, so none is a dead knob.
 """
 
@@ -138,8 +140,25 @@ def test_dedupe_spot_check_never_reaches_the_portrait_key():
             calls.setdefault(fn.name, set()).update(called_names(fn))
     assert "_word_portraits" in calls
     reached = reached_from(calls, ["_word_portraits"])
-    assert "_word_decompose" in reached
+    assert "_decompose_normal" in reached
     assert reached.isdisjoint(KEYED + ("_fold_key", "_fold_forms", "portrait"))
+
+
+WORD_PATH = ("_normalize", "_word_decompose", "_decompose_normal",
+             "_identity_normal", "_portrait_normal")
+
+
+def test_fold_system_shares_the_word_path():
+    # FoldSystem differs from System at the atom, so it overrides none of
+    # the word path; the *_normal recursions trust their input, so they
+    # never normalize it again
+    tree = dict(parsed_modules())["tree.py"]
+    fold = method_calls(tree, ("FoldSystem",))
+    assert "_atom_decompose" in fold
+    assert sorted(set(fold) & set(WORD_PATH)) == []
+    calls = method_calls(tree, ("System",))
+    for name in ("_identity_normal", "_portrait_normal"):
+        assert "_normalize" not in calls[name]
 
 
 KNOB = re.compile(r"_?[A-Z][A-Z0-9_]*_(CAP|BUDGET)$")
