@@ -182,28 +182,28 @@ def test_fold_gate_fails_on_a_broken_certificate():
     assert not any(ok for _, ok in checks)
 
 
-def fold_gate(patch, seed=20240811, perturb=None, peel_too=False):
+def fold_gate(seed=20240811, perturb=None, peel_too=False):
     """Whether each criterion_fold_family check passes, with the draws
     seeded by seed, and reduce_mod_r's digit at degree perturb (if any)
     moved by one; with peel_too, peel returns the moved digits as well."""
-    seeded = random.Random
-    patch.setattr(suites, "random",
-                  types.SimpleNamespace(Random=lambda _: seeded(seed)))
-    if perturb is not None:
-        reduce = suites.reduce_mod_r
+    seeded, reduce = random.Random, suites.reduce_mod_r
 
-        def moved(n, r):
-            digits = list(reduce(n, r).digits)
-            digits[perturb] = (digits[perturb] + 1) % r.mod.m
-            return types.SimpleNamespace(digits=tuple(digits))
+    def moved(n, r):
+        digits = list(reduce(n, r).digits)
+        digits[perturb] = (digits[perturb] + 1) % r.mod.m
+        return types.SimpleNamespace(digits=tuple(digits))
 
-        patch.setattr(suites, "reduce_mod_r", moved)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suites, "random",
+                      types.SimpleNamespace(Random=lambda _: seeded(seed)))
+        if perturb is not None:
+            patch.setattr(suites, "reduce_mod_r", moved)
         if peel_too:
             patch.setattr(suites, "peel", lambda target, basis: [PowerSeries(
                 target.system.ctx.mod, target.system.ctx.D,
                 moved(target.system._exponent(target.word)[0],
                       target.system.annihilator()).digits)])
-    checks = suites.criterion_fold_family()
+        checks = suites.criterion_fold_family()
     assert len(checks) == 50
     return [ok for _, ok in checks]
 
@@ -212,21 +212,18 @@ def fold_gate(patch, seed=20240811, perturb=None, peel_too=False):
 def test_fold_gate_compares_only_the_determined_digits(seed):
     # each seed draws one power whose peel differs from reduce_mod_r only
     # at degree 8, which a depth-8 portrait cannot see
-    with pytest.MonkeyPatch.context() as patch:
-        assert all(fold_gate(patch, seed))
+    assert all(fold_gate(seed))
 
 
 @pytest.mark.parametrize("degree,passes", [(7, False), (8, True)])
 def test_fold_gate_sees_every_determined_digit(degree, passes):
-    with pytest.MonkeyPatch.context() as patch:
-        assert fold_gate(patch, perturb=degree) == [passes] * 50
+    assert fold_gate(perturb=degree) == [passes] * 50
 
 
 def test_fold_gate_checks_the_reduced_series_against_the_power():
     # peel agreeing with a wrong reduce_mod_r still fails: g raised to the
     # reduced series is not g^n at depth 8
-    with pytest.MonkeyPatch.context() as patch:
-        assert not any(fold_gate(patch, perturb=3, peel_too=True))
+    assert not any(fold_gate(perturb=3, peel_too=True))
 
 
 def test_fold_closure_leaves_no_portrait_products():

@@ -6,10 +6,12 @@ from a relator split once; its oracle is `reduce_mod_r` on the annihilator
 series.  The closure walk keys states by the linear invariant of
 `key_forms` instead; its oracle is the digit prefix, and each child key
 the walk derives from its parent must equal the key of the built child.
-A FoldSystem also decomposes one-atom words straight through
-`_atom_decompose`; the oracle is the generic `System` word engine.  Its
-portraits are memoized by the same linear key; their oracle is the
-word-memo expansion `System._portrait`.
+A FoldSystem decomposes one-atom words straight through `_atom_decompose`
+on the word path it shares with `System`, so the one-atom test below now
+compares that path with itself; the fold child formula's independent
+oracle is the cycle walk of test_fold_walk.py.  Fold portraits are
+memoized by the same linear key; their oracle is the word-memo expansion
+`System._portrait`.
 """
 
 import itertools
@@ -261,7 +263,7 @@ def test_one_digit_does_not_fix_the_closure():
 def rebuilt(system, word_engine=False):
     """The same fold system on a new context, so SELFSIM_CACHE is read
     again; with word_engine, every portrait, children included, is the
-    word-memo expansion System._portrait through _word_decompose."""
+    word-memo expansion System._portrait through _decompose_normal."""
     old = system.ctx
     ctx = Context(old.m, K=old.K, D=old.D, L=old.L)
     twin = FoldSystem(ctx, system.name, [

@@ -151,14 +151,16 @@ WORD_PATH = ("_normalize", "_word_decompose", "_decompose_normal",
 def test_fold_system_shares_the_word_path():
     # FoldSystem differs from System at the atom, so it overrides none of
     # the word path; the *_normal recursions trust their input, so they
-    # never normalize it again
+    # neither normalize it again nor go back through an entry point
     tree = dict(parsed_modules())["tree.py"]
     fold = method_calls(tree, ("FoldSystem",))
     assert "_atom_decompose" in fold
     assert sorted(set(fold) & set(WORD_PATH)) == []
     calls = method_calls(tree, ("System",))
     for name in ("_identity_normal", "_portrait_normal"):
-        assert "_normalize" not in calls[name]
+        assert name in calls[name]
+        assert calls[name].isdisjoint(
+            ("_normalize", "_word_decompose", "_is_identity", "_portrait"))
 
 
 KNOB = re.compile(r"_?[A-Z][A-Z0-9_]*_(CAP|BUDGET)$")
