@@ -8,13 +8,14 @@ letter orbits of a closure, and the machine states the CLI's represent
 lists.  For a foldable single-generator system the states are powers of one
 generator, so the walk runs on plain exponent coefficient tuples and an
 expression is built only for each state kept.  Those states are keyed by
-the linear invariant of FoldSystem.key_forms: a few dot products that
-tell exponents apart exactly when the automorphisms differ to depth d.
-The key is additive, so each state's m child keys follow from one dot
-product per form with its own exponent, and a child's tuple
-(FoldSystem._exponent_child) is built only when its key is new.  For
-anything else the walk runs on expressions, deduplicated by their
-depth-bounded portraits, which are hash-consed and therefore cheap keys.
+the linear invariant of FoldSystem.key_forms: w dot products per state (w
+the Weierstrass degree of the annihilator, 1 when q(0) is a unit mod m)
+that tell exponents apart exactly when the automorphisms differ to depth
+d.  The key is additive, so each state's m child keys follow from one dot
+product per form with its own exponent, and a child's tuple is built only
+when its key is new.  For anything else the walk runs on expressions,
+deduplicated by their depth-bounded portraits, which are hash-consed and
+therefore cheap keys.
 
 After the walk, either engine is certified abelian by its state names
 (_names_abelian_depth) and looks for recurrence witnesses with one
@@ -84,23 +85,38 @@ def _fold_key(system, coeffs, depth):
 def _fold_children(system, depth):
     """children(Q) for _walk on the exponent tuples of a fold system.
 
-    The child of g^Q at source y has exponent P[c][y] + shift, with c and
-    shift from FoldSystem._exponent_shift.  The key is linear, so that
-    child's key is phi(P[c][y]) + phi(shift): the first term is tabled
-    here, once per walk, as table[c][f][y] for form f, and the second is
-    one dot product per form, shared by all m children.
+    The child of g^Q at source y has exponent P[c][y] + qsum*xi + Q', with
+    c and xi from Q(0) = c + m*xi and Q' the higher coefficients shifted
+    down one degree (FoldSystem._exponent_child).  The key is linear, so
+    that child's key is phi(P[c][y]) + xi*phi(qsum) + phi(Q'): the first
+    term is tabled here, once per walk, as table[c][f][y] for form f, and
+    phi(Q') is one dot product per form with that form raised one degree,
+    shared by all m children.  A child's tuple is built only for a new key.
     """
     forms, M = _fold_forms(system, depth)
-    prefix = system._prefix
     table = [list(zip(*[_form_values(forms, p) for p in row]))
-             for row in prefix]
-    shift_of, child = system._exponent_shift, system._exponent_child
+             for row in system._prefix]
+    qvals = _form_values(forms, system._qsum)
+    raised = [(0,) + f for f in forms]
+    child_of = system._exponent_child
+
+    if len(forms) == 1:
+        # one form: 1-tuple keys straight from one column, no transpose
+        (a,), (f,) = qvals, raised
+        cols = [row[0] for row in table]
+
+        def children(q):
+            c, xi, child = child_of(q)
+            b = xi * a + sum(map(mul, q, f))
+            return [((v + b) % M,) for v in cols[c]], child
+        return children
 
     def children(q):
-        c, shift = shift_of(q)
-        keys = zip(*[[(v + b) % M for v in col]
-                     for col, b in zip(table[c], _form_values(forms, shift))])
-        return keys, lambda i: child(prefix[c][i], shift)
+        c, xi, child = child_of(q)
+        keys = zip(*[[(v + b) % M for v in col] for col, b in zip(
+            table[c], [xi * a + sum(map(mul, q, f))
+                       for a, f in zip(qvals, raised)])])
+        return keys, child
     return children
 
 

@@ -30,7 +30,7 @@ most m^d classes per depth, not the number of exponent words.
 
 import os
 import re
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .adic import MAdicInt, Memo, Modulus, PowerSeries
@@ -832,7 +832,8 @@ class System(object):
             raise ValueError("diagonal shift must be nonnegative")
         out = []
         for name, coeffs in expr.word:
-            shifted = (0,) * i + coeffs[:len(coeffs) - i]
+            # past the last degree the shift leaves no term
+            shifted = ((0,) * min(i, len(coeffs)) + coeffs)[:len(coeffs)]
             out.append((name, self._canon_coeffs(shifted)))
         return AutExpr(self, self._normalize(tuple(out)))
 
@@ -1005,7 +1006,7 @@ class FoldSystem(System):
 
     where P[c][y] = p_y + p_{(y)s} + ... + p_{(y)s^(c-1)} is read from a
     table of prefix sums along the cycle, built once at construction, so
-    each child is a single vector add (_exponent_child).
+    each child is one pass over its coefficients (_exponent_child).
     The state-closure of such a generator is abelian (one name in
     closure._names_abelian_depth's induction), so exponents add; all
     coefficients live mod m^K and one digit of scalar precision is
@@ -1014,12 +1015,14 @@ class FoldSystem(System):
     g^Q and g^Q' agree to depth n exactly when Q - Q' lies in the ideal
     (r, x^n) of Z[x], r = m - x*(p_1+...+p_m) the annihilator.  Two keys
     decide that: the canonical digit prefix (a carry pass, kept in the
-    tests as the oracle) and the linear key of key_forms, a few dot
-    products with weights fixed per depth.  Because the linear key is
-    additive, the closure walk derives every child's key from its parent
-    and builds only the children whose key is new.  Portraits are memoized
-    by the same key (_portrait), one node per depth and class; the forms
-    of each depth are built once per system (key_table).
+    tests as the oracle) and the linear key of key_forms, w dot products
+    per state with weights fixed per depth, where w is the largest
+    Weierstrass degree of r over the primes of m (1 when q(0) is a unit
+    mod m).  Because the linear key is additive, the closure walk derives
+    every child's key from its parent and builds only the children whose
+    key is new.  Portraits are memoized by the same key (_portrait), one
+    node per depth and class; the forms of each depth are built once per
+    system (key_table).
     """
 
     foldable = True
@@ -1041,7 +1044,8 @@ class FoldSystem(System):
         for lifts in self._plifts:
             for d, c in enumerate(lifts):
                 qsum[d] += c
-        self._qsum = tuple(v % ctx.mod.mK for v in qsum)
+        self._mK = ctx.mod.mK
+        self._qsum = tuple(v % self._mK for v in qsum)
         prefix = [((0,) * (ctx.D + 1),) * ctx.m]
         for c in range(1, ctx.m):
             step = self._sigma_powers[c - 1]
@@ -1090,8 +1094,7 @@ class FoldSystem(System):
         return system
 
     def _canon_coeffs(self, coeffs):
-        mK = self.ctx.mod.mK
-        return tuple(v % mK for v in coeffs)
+        return tuple(v % self._mK for v in coeffs)
 
     def generator(self):
         return self.gen(self.name)
@@ -1107,8 +1110,11 @@ class FoldSystem(System):
         [0, m^n), and an exponent Q (integers by degree, signed or not)
         has the values sum(Q[j] * f[j]) mod m^n.  Two exponents have equal
         values under every form exactly when their first n canonical
-        digits modulo the annihilator agree.  There is one form when q(0)
-        is a unit mod m, q = p_1 + ... + p_m, and n forms otherwise.
+        digits modulo the annihilator agree.  There are w forms, where
+        q = p_1 + ... + p_m and w is the largest, over the primes p of m,
+        of w_p = 1 + (the first i < n - 1 with q_i != 0 mod p), or n when
+        there is no such i: w_p is the Weierstrass degree of r mod x^n at
+        p, and w = 1 when q(0) is a unit mod m.
 
         Proof.  Let r = m - x*q and s = m^n * r^(-1) mod x^n.  Comparing
         coefficients in r*s = m^n gives s_0 = m^(n-1) and
@@ -1128,11 +1134,20 @@ class FoldSystem(System):
         n coefficients of Q*s mod x^n, each taken mod m^n, are a complete
         invariant; form i holds s_i, ..., s_0 as the weights of
         Q_0, ..., Q_i.
-        When gcd(q(0), m) = 1 the top form alone is complete: it is a
-        homomorphism from the class group, of order m^n, to Z/m^n, and it
-        sends 1 to s_(n-1) = u_(n-1) = q(0)^(n-1) mod m, a unit, so it is
-        onto and therefore one to one.  (For n = 1 the single form is Q_0
-        mod m whatever q(0) is.)
+        The top w forms alone are complete.  Form i is the coefficient of
+        x^i in Q*s, so form i at Q is the top form at x^(n-1-i)*Q.  Every
+        form vanishes on (r, x^n), so it is additive on the class group G,
+        a Z[x]-module.  On its p-part G_p = Z_p[[x]]/(r, x^n), when
+        w_p < n, r has its first unit coefficient -q_(w_p - 1) at degree
+        w_p, so by Weierstrass preparation r = unit * P_p with P_p monic
+        of degree w_p, and P_p kills G_p; when w_p = n, x^n kills it.
+        Then x^(w - w_p)*P_p, monic of degree w, kills G_p, and by CRT
+        one monic integer polynomial of degree w, congruent to each of
+        those modulo a power of p that kills G_p, kills G.  So x^w*Q, and
+        by induction every x^k*Q, is an integer combination of
+        Q, ..., x^(w-1)*Q in G.  If the top w forms, the top form at
+        x^(w-1)*Q, ..., Q, vanish at Q, the top form vanishes at every
+        x^k*Q, so every form vanishes and Q lies in (r, x^n).
         Only Q mod m^n matters, and the ideal (r, x^n) contains m^n
         (m = x*q mod r, so m^n = x^n*q^n), so for n <= K the mod-m^K lifts
         of Q and of q give the same classes; the forms are built from the
@@ -1148,9 +1163,10 @@ class FoldSystem(System):
         s = [m ** (n - 1)]
         for i in range(1, n):
             s.append(sum(q[t - 1] * s[i - t] for t in range(1, i + 1)) // m)
-        forms = tuple(tuple(s[i - j] % M for j in range(i + 1))
-                      for i in range(n))
-        return forms[-1:] if gcd(q[0], m) == 1 else forms
+        w = max(next((i + 1 for i, v in enumerate(q[:n - 1]) if v % p), n)
+                for p, _ in self.ctx.mod.factorization)
+        return tuple(tuple(s[i - j] % M for j in range(i + 1))
+                     for i in range(n - w, n))
 
     def key_table(self, n):
         """(key_forms(n), m^n), built on first use and kept per depth."""
@@ -1167,26 +1183,22 @@ class FoldSystem(System):
                 raise KeyError("undefined generator %r" % name)
         return word[0][1] if word else self._zero_coeffs()
 
-    def _exponent_shift(self, coeffs):
-        """(c, shift) of g^coeffs: its root is sigma^c, and its child at
-        source y + 1 (0-based y) is _exponent_child(P[c][y], shift).
-
-        shift = qsum*xi + Q', where v = c + m*xi is the constant coefficient
-        and Q' the higher coefficients shifted down one degree.
-        """
+    def _exponent_child(self, coeffs):
+        """(c, xi, child) of g^coeffs, whose constant coefficient is
+        c + m*xi (0 <= c < m): its root is sigma^c, and child(y) builds its
+        child exponent at source y + 1 (0-based y), unmemoized, as
+        (P[c][y] + qsum*xi + Q') mod m^K, Q' the higher coefficients
+        shifted down one degree."""
         xi, c = divmod(coeffs[0], self.ctx.m)
-        return c, [q * xi + t for q, t in zip(self._qsum, coeffs[1:] + (0,))]
-
-    def _exponent_child(self, prefix, shift):
-        """Unmemoized: the child exponent (P[c][y] + shift) mod m^K."""
-        mK = self.ctx.mod.mK
-        return tuple([(p + s) % mK for p, s in zip(prefix, shift)])
+        rows, qsum, tail = self._prefix[c], self._qsum, coeffs[1:] + (0,)
+        mK = self._mK
+        return c, xi, lambda y: tuple([(p + s * xi + t) % mK for p, s, t in
+                                       zip(rows[y], qsum, tail)])
 
     def _exponent_children(self, coeffs):
         """(c, child exponents) of g^coeffs, all m (atoms need every one)."""
-        c, shift = self._exponent_shift(coeffs)
-        return c, tuple([self._exponent_child(p, shift)
-                         for p in self._prefix[c]])
+        c, _, child = self._exponent_child(coeffs)
+        return c, tuple(map(child, range(self.ctx.m)))
 
     def _atom_decompose(self, atom):
         hit = self._atom_memo.get(atom)
@@ -1222,10 +1234,9 @@ class FoldSystem(System):
         hit = self._portrait_memo.get(key)
         if hit is not None:
             return hit
-        c, shift = self._exponent_shift(coeffs)
+        c, kids = self._exponent_children(coeffs)
         kids = () if depth == 1 else tuple([
-            self._exponent_portrait(self._exponent_child(p, shift), depth - 1)
-            for p in self._prefix[c]])
+            self._exponent_portrait(q, depth - 1) for q in kids])
         return self._portrait_memo.put(
             key, Portrait.make(self._sigma_powers[c], kids))
 
@@ -1237,14 +1248,13 @@ class FoldSystem(System):
             return self.identity()
         (name, coeffs), = word
         D = self.ctx.D
-        mK = self.ctx.mod.mK
         out = [0] * (D + 1)
         ql = q.lifts()
         for i, a in enumerate(coeffs):
             if a:
                 for jdg in range(D + 1 - i):
                     out[i + jdg] += a * ql[jdg]
-        out = tuple(v % mK for v in out)
+        out = tuple(v % self._mK for v in out)
         return AutExpr(self, self._normalize(((name, out),)))
 
     def level_perm_fast(self, l):

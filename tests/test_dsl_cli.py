@@ -561,21 +561,28 @@ def test_conjugate_scripts_exit_cleanly(text):
 
 
 # (name index, power, shift) factors; a series power needs a plain
-# generator, or a system marked abelian
+# generator, or a system marked abelian; shifts reach past D = 4, where a
+# factor is the identity
 SESSION_WORDS = st.lists(st.tuples(
     st.integers(0, 7), st.sampled_from(["", "", "^2", "^-1", "^3", "^{1 + x}"]),
-    st.integers(0, 4)), min_size=1, max_size=3)
+    st.integers(0, 9)), min_size=1, max_size=3)
+COEFFS = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
 
 
 @st.composite
-def session_scripts(draw):
-    """A binary session: one or two generators whose entries are words in
-    them, a let made before a full-depth closure that may mark the system
-    abelian, then portrait, act, order, zeta, closure and let statements
-    on those names.  Depths, vertices and shifts stay inside their
-    bounds, so most scripts exit 0."""
-    L = draw(st.integers(1, 3))
+def session_scripts(draw, m=2):
+    """A session on m letters: one or two generators whose entries are
+    words in them, a let made before a full-depth closure that may mark
+    the system abelian, then portrait, act, order, zeta, closure and let
+    statements on those names; at m = 3 also present and reduce, with
+    L <= 2.  Depths, vertices and shifts stay inside their bounds, so most
+    scripts exit 0."""
+    L = draw(st.integers(1, 3 if m == 2 else 2))
     gens = ["a", "b"][:draw(st.integers(1, 2))]
+    roots = ["", " (1 2)"] + ([" (1 2 3)", " (1 3 2)"] if m == 3 else [])
+    kinds = ["portrait", "act", "order", "zeta", "closure", "let"]
+    if m == 3:
+        kinds += ["present", "reduce"]
 
     def word(names):
         return "*".join(
@@ -586,34 +593,44 @@ def session_scripts(draw):
         return "e" if draw(st.booleans()) else word(gens)
 
     depth = st.integers(1, L)
-    lines = ["context m=2 K=4 D=4 L=%d" % L]
+    lines = ["context m=%d K=4 D=4 L=%d" % (m, L)]
     for g in gens:
-        lines.append("gen %s = (%s, %s)%s" % (
-            g, entry(), entry(), draw(st.sampled_from(["", " (1 2)"]))))
+        lines.append("gen %s = (%s)%s" % (
+            g, ", ".join(entry() for _ in range(m)),
+            draw(st.sampled_from(roots))))
     lines += ["let u = %s" % word(gens),
               "closure %s depth=%d" % (" ".join(gens), L)]
     names = gens + ["u"]
     for i in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(
-            ["portrait", "act", "order", "zeta", "closure", "let"]))
+        kind = draw(st.sampled_from(kinds))
         w = word(names)
         if kind == "act":
             lines.append("act %s %s" % (w, ".".join(map(str, draw(
-                st.lists(st.integers(1, 2), min_size=1, max_size=L))))))
+                st.lists(st.integers(1, m), min_size=1, max_size=L))))))
         elif kind == "closure":
             lines.append("closure %s %s depth=%d"
                          % (w, word(names), draw(depth)))
+        elif kind == "present":
+            # a bare generator name, as a presentation usually needs
+            lines.append("present %s depth=%d"
+                         % (draw(st.sampled_from([w] + gens)), draw(depth)))
         elif kind == "let":
             lines.append("let v%d = %s" % (i, w))
             names.append("v%d" % i)
+        elif kind == "reduce":
+            # a relator's constant term must be m; other draws exit 4
+            r = draw(COEFFS)
+            r[0] = m if draw(st.booleans()) else r[0]
+            lines.append('reduce "%s" r="%s"' % (
+                _series_text(draw(COEFFS)) or "0", _series_text(r) or "0"))
         else:
             lines.append("%s %s L=%d" % (kind, w, draw(depth)))
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=150, deadline=None)
-@given(session_scripts())
-def test_session_scripts_exit_cleanly(text):
+def exits_cleanly(text):
+    """Runs text through the command line: the script round-trips through
+    format_script, and it exits 0, 2, 3 or 4 with no traceback."""
     statements = parse_script(text)
     assert parse_script(format_script(statements)) == statements
     out, err = io.StringIO(), io.StringIO()
@@ -622,6 +639,18 @@ def test_session_scripts_exit_cleanly(text):
         code = main(["run", "-"])
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(session_scripts())
+def test_session_scripts_exit_cleanly(text):
+    exits_cleanly(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(session_scripts(m=3))
+def test_ternary_session_scripts_exit_cleanly(text):
+    exits_cleanly(text)
 
 
 def test_exit_missing_script(capsys):

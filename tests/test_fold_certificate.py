@@ -12,7 +12,8 @@ candidates as the scan reaches them; its oracle is the search that built
 them all first.  The DedupeCollision spot check compares word-path
 portraits; its oracle is pairwise `equal_to_depth`.  The gate's peel
 check compares the digits a depth-8 peel determines, those below degree
-8, and checks g raised to the `reduce_mod_r` series against g^n.
+8, and checks g raised to the `reduce_mod_r` series against g^n; the
+quaternary gate does the same at depth 10.
 """
 
 import itertools
@@ -224,6 +225,26 @@ def test_fold_gate_checks_the_reduced_series_against_the_power():
     # peel agreeing with a wrong reduce_mod_r still fails: g raised to the
     # reduced series is not g^n at depth 8
     assert not any(fold_gate(perturb=3, peel_too=True))
+
+
+@pytest.mark.parametrize("degree,passes", [(9, False), (10, True)])
+def test_quaternary_gate_compares_only_the_determined_digits(degree, passes):
+    # the probes are peeled at depth 10, which fixes the digits below
+    # degree 10; moving reduce_mod_r's digit at degree 9 fails the
+    # membership check, and at degree 10 it passes
+    reduce = suites.reduce_mod_r
+
+    def moved(n, r):
+        digits = list(reduce(n, r).digits)
+        digits[degree] = (digits[degree] + 1) % r.mod.m
+        return types.SimpleNamespace(digits=tuple(digits))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suites, "reduce_mod_r", moved)
+        checks = dict(suites.criterion_quaternary_machine())
+    assert checks.pop("membership: torsion part and peeled normal forms") \
+        == passes
+    assert all(checks.values())
 
 
 def test_fold_closure_leaves_no_portrait_products():

@@ -6,6 +6,9 @@ from a relator split once; its oracle is `reduce_mod_r` on the annihilator
 series.  The closure walk keys states by the linear invariant of
 `key_forms` instead; its oracle is the digit prefix, and each child key
 the walk derives from its parent must equal the key of the built child.
+`key_forms` returns w forms, w the largest Weierstrass degree of the
+annihilator over the primes of m; the tests recompute w, check that the
+w forms tell every digit tuple apart, and that w - 1 of them do not.
 A FoldSystem decomposes one-atom words straight through `_atom_decompose`
 on the word path it shares with `System`, so the one-atom test below now
 compares that path with itself; the fold child formula's independent
@@ -17,6 +20,7 @@ memoized by the same linear key; their oracle is the word-memo expansion
 import itertools
 import types
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,14 +123,18 @@ def test_one_digit_systems_still_build():
 
 # ------------------------------------------------------------ linear keys
 
-QSUM_KINDS = ("unit", "non-unit", "zero")
+# "divisible" is listed twice: most draws with 1 < w < n come from it
+QSUM_KINDS = ("unit", "non-unit", "zero", "divisible", "divisible")
 
 
 @st.composite
 def keyed_systems(draw):
     """A fold system whose q(0) = p_1(0)+...+p_m(0) is a unit mod m, a
-    nonzero non-unit, or 0, and a key depth n in 1..min(K, D + 1)."""
+    nonzero non-unit, or 0, or whose first k coefficients q_0..q_(k-1)
+    are all 0 mod p, the prime of m, so that 1 < w < n occurs (see
+    weierstrass_degree); and a key depth n in 1..min(K, D + 1)."""
     m = draw(st.integers(2, 4))
+    p = 3 if m == 3 else 2
     depth = draw(st.integers(1, 5))
     ctx = Context(m, K=depth + draw(st.integers(1, 2)), D=depth, L=depth)
     cycle = [1] + draw(st.permutations(range(2, m + 1)))
@@ -137,19 +145,34 @@ def keyed_systems(draw):
     kind = draw(st.sampled_from(QSUM_KINDS))
     if kind == "unit":
         units = [u for u in range(1, m) if gcd(u, m) == 1]
-        want = draw(st.sampled_from(units)) + m * draw(st.integers(-2, 2))
+        want = [draw(st.sampled_from(units)) + m * draw(st.integers(-2, 2))]
     elif kind == "non-unit":
-        p = 3 if m == 3 else 2
-        want = p * draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
-        if gcd(want, m) == 1:
-            want *= p
+        want = [p * draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))]
+        if gcd(want[0], m) == 1:
+            want[0] *= p
+    elif kind == "zero":
+        want = [0]
     else:
-        want = 0
-    exps[-1][0] += want - sum(e[0] for e in exps)
+        want = [p * draw(st.integers(-3, 3))
+                for _ in range(draw(st.integers(1, max(1, depth - 1))))]
+    last = exps[-1] + [0] * (len(want) - len(exps[-1]))
+    for d, v in enumerate(want):
+        last[d] += v - sum(e[d] for e in exps if d < len(e))
+    exps[-1] = last
     system = FoldSystem(
         ctx, "g", [PowerSeries(ctx.mod, ctx.D, e) for e in exps], sigma)
     n = draw(st.integers(1, min(ctx.K, ctx.D + 1)))
     return system, n
+
+
+def weierstrass_degree(system, n):
+    """w: the largest, over the primes p of m, of 1 + the first i < n - 1
+    with q_i != 0 mod p, or n when there is none."""
+    m, q = system.ctx.m, system._qsum
+    primes = [p for p in range(2, m + 1)
+              if m % p == 0 and all(p % d for d in range(2, p))]
+    return max(next((i + 1 for i in range(n - 1) if q[i] % p), n)
+               for p in primes)
 
 
 def poly_mul(a, b, width):
@@ -178,6 +201,15 @@ def linear_key(system, coeffs, n):
                  for f in forms)
 
 
+def key_images(system, n, drop=0):
+    """How many keys the canonical digit tuples of depth n take under the
+    last len(key_forms(n)) - drop forms."""
+    M = system.ctx.m ** n
+    forms = system.key_forms(n)[drop:]
+    return len({tuple(sum(map(mul, d, f)) % M for f in forms)
+                for d in itertools.product(range(system.ctx.m), repeat=n)})
+
+
 @settings(max_examples=120, deadline=None)
 @given(keyed_systems(), st.data())
 def test_linear_key_and_digit_prefix_give_one_partition(case, data):
@@ -192,12 +224,46 @@ def test_linear_key_and_digit_prefix_give_one_partition(case, data):
         assert (keys[i] == keys[j]) == (digits[i] == digits[j])
     for q, k, d in zip(samples, keys, digits):
         assert linear_key(system, d, n) == k
+    w = weierstrass_degree(system, n)
+    assert len(system.key_forms(n)) == w
     if gcd(system._qsum[0], ctx.m) == 1 or n == 1:
-        assert len(system.key_forms(n)) == 1
+        assert w == 1
     if ctx.m ** n <= 1024:
-        # injective on the canonical digit tuples, one per class
-        every = itertools.product(range(ctx.m), repeat=n)
-        assert len({linear_key(system, d, n) for d in every}) == ctx.m ** n
+        # injective on the canonical digit tuples, one per class, and
+        # minimal: the p-part of the class group needs w_p generators
+        assert key_images(system, n) == ctx.m ** n
+        if w > 1:
+            assert key_images(system, n, drop=1) < ctx.m ** n
+
+
+# (m, q = p_1 + ... + p_m, w at n = 1, 2, ...) with m^n <= 1,296; at m = 6
+# and m = 12 the 2-part and the 3-part have their own Weierstrass degrees
+COMPOSITE_KEYS = [
+    (6, (1, 0, 0, 0), (1, 1, 1, 1)),
+    (6, (2, 1, 0, 0), (1, 2, 2, 2)),
+    (6, (3, 3, 1, 0), (1, 2, 3, 3)),
+    (6, (2, 4, 3, 0), (1, 2, 3, 3)),
+    (6, (6, 2, 3, 0), (1, 2, 3, 3)),
+    (6, (6, 4, 2, 1), (1, 2, 3, 4)),
+    (6, (0, 0, 0, 0), (1, 2, 3, 4)),
+    (12, (4, 1), (1, 2)),
+    (12, (3, 5), (1, 2)),
+    (12, (5, 0), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("m,q,ws", COMPOSITE_KEYS)
+def test_composite_keys_need_exactly_w_forms(m, q, ws):
+    D = len(q)
+    ctx = Context(m, K=D, D=D, L=D)
+    exps = [PowerSeries(ctx.mod, ctx.D, list(q))] + [0] * (m - 1)
+    system = FoldSystem(ctx, "g", exps, "(%s)" % " ".join(
+        map(str, range(1, m + 1))))
+    for n, w in enumerate(ws, 1):
+        assert len(system.key_forms(n)) == w == weierstrass_degree(system, n)
+        assert key_images(system, n) == m ** n
+        if w > 1:
+            assert key_images(system, n, drop=1) < m ** n
 
 
 @settings(max_examples=80, deadline=None)

@@ -211,6 +211,30 @@ def test_diagonal_grafts_one_level_down():
             assert img == [first] + increment_image(list(u), 2, 1)
 
 
+@pytest.mark.parametrize("engine", ["generic", "fold"])
+def test_diagonal_shifts_keep_terms_at_most_degree_d(engine):
+    # a shift past D leaves no term, so a^{x^i} is the identity there; the
+    # old slice kept a term above D for D + 1 < i < 2(D + 1)
+    D = 4
+    ctx = Context(2, K=D, D=D, L=D)
+    if engine == "fold":
+        a = adding_machine(ctx)
+    else:
+        system = System(ctx)
+        a = system.gen("a")
+        system.define("a", "(1 2)", ["e", a])
+    for i in range(2 * D + 3):
+        shifted = a.diagonal(i)
+        assert all(len(coeffs) <= D + 1 for _, coeffs in shifted.word)
+        assert (shifted.word == ()) == (i > D), i
+        if i > D:
+            assert shifted.is_identity()
+        else:
+            assert shifted.word == (("a", (0,) * i + (1,) + (0,) * (D - i)),)
+    # a shift is not spelled out term by term
+    assert a.diagonal(10 ** 15).word == ()
+
+
 def test_state_walks_the_tree():
     ctx, sys, s, b = binary_pair()
     assert b.state([2]).equal_to_depth(b, 8)
