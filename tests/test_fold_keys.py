@@ -123,7 +123,7 @@ def test_one_digit_systems_still_build():
 
 # ------------------------------------------------------------ linear keys
 
-# "divisible" is listed twice: most draws with 1 < w < n come from it
+# "divisible" is listed twice, so that 1 < w < n is drawn often
 QSUM_KINDS = ("unit", "non-unit", "zero", "divisible", "divisible")
 
 
@@ -131,12 +131,14 @@ QSUM_KINDS = ("unit", "non-unit", "zero", "divisible", "divisible")
 def keyed_systems(draw):
     """A fold system whose q(0) = p_1(0)+...+p_m(0) is a unit mod m, a
     nonzero non-unit, or 0, or whose first k coefficients q_0..q_(k-1)
-    are all 0 mod p, the prime of m, so that 1 < w < n occurs (see
-    weierstrass_degree); and a key depth n in 1..min(K, D + 1)."""
+    are all 0 mod p, the prime of m, with k < n - 1, so that 1 < w < n
+    occurs (see weierstrass_degree); and a key depth n in
+    1..min(K, D + 1)."""
     m = draw(st.integers(2, 4))
     p = 3 if m == 3 else 2
     depth = draw(st.integers(1, 5))
     ctx = Context(m, K=depth + draw(st.integers(1, 2)), D=depth, L=depth)
+    n = draw(st.integers(1, min(ctx.K, ctx.D + 1)))
     cycle = [1] + draw(st.permutations(range(2, m + 1)))
     sigma = Permutation.from_cycles([cycle], m)
     coeffs = st.lists(st.integers(-m * m, m * m), min_size=1,
@@ -153,15 +155,16 @@ def keyed_systems(draw):
     elif kind == "zero":
         want = [0]
     else:
+        # q_0..q_(k-1) divisible by p and q_k not, so w = k + 1 < n for n > 2
         want = [p * draw(st.integers(-3, 3))
-                for _ in range(draw(st.integers(1, max(1, depth - 1))))]
+                for _ in range(draw(st.integers(1, max(1, n - 2))))]
+        want.append(p * draw(st.integers(-3, 3)) + draw(st.integers(1, p - 1)))
     last = exps[-1] + [0] * (len(want) - len(exps[-1]))
     for d, v in enumerate(want):
         last[d] += v - sum(e[d] for e in exps if d < len(e))
     exps[-1] = last
     system = FoldSystem(
         ctx, "g", [PowerSeries(ctx.mod, ctx.D, e) for e in exps], sigma)
-    n = draw(st.integers(1, min(ctx.K, ctx.D + 1)))
     return system, n
 
 
