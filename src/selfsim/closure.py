@@ -128,18 +128,33 @@ def _built(items, key=None):
 
 
 def _word_portraits(system, exprs, depth):
-    """The depth-d portraits of exprs, one at a time, on the word path.
+    """The depth-d portraits of the fold states exprs, one at a time, on
+    the word path.
 
     Nodes come from system._decompose_normal alone, memoized per (word,
     depth) for this call and interned by Portrait.make; the keyed portrait
     memo of a fold system is never read, so comparing these nodes checks
-    the linear key independently.  Equal words share a node, but words of
-    one class are expanded apart, so the cost grows with the distinct
-    words below the states and callers cap how many states they pass.
+    the linear key independently.  Before the memo lookup, each atom g^Q
+    at depth d is replaced by its residue R: R_i = Q_i mod m^(d-i) for
+    i < d and R_i = 0 from degree d up.  g^Q and g^R agree to depth d,
+    because Q - R is a sum of terms m^(d-i)*x^i*A_i (i < d) and x^d*B:
+    m = x*q mod the annihilator r = m - x*q, so m^(d-i)*x^i = x^d*q^(d-i)
+    mod r lies in (r, x^d); g^r = e, and g^(x^d*B) is the diagonal of g^B
+    at level d, trivial to depth d.  Equal residues share a node, but
+    residues of one class are still expanded apart, so the cost grows with
+    the distinct residues below the states and callers cap how many
+    states they pass.
     """
+    m, width = system.ctx.m, system.ctx.D + 1
+    moduli = [[m ** (d - i) for i in range(d)] for d in range(depth + 1)]
     memo = {}
 
     def expand(word, d):
+        if word:
+            (name, coeffs), = word
+            res = [v % M for v, M in zip(coeffs, moduli[d])]
+            word = ((name, tuple(res) + (0,) * (width - d)),) if any(
+                res) else ()
         node = memo.get((word, d))
         if node is None:
             root, children = system._decompose_normal(word)

@@ -77,8 +77,18 @@ class Permutation(object):
         self.images = imgs
 
     @classmethod
+    def _derived(cls, images):
+        """A permutation from a tuple of images derived from valid
+        permutations (a product, inverse, power, identity or level action),
+        taken without the bijection check that every image list from input
+        passes through __init__."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
+
+    @classmethod
     def identity(cls, m):
-        return cls(range(1, m + 1))
+        return cls._derived(tuple(range(1, m + 1)))
 
     @classmethod
     def from_cycles(cls, cycles, m):
@@ -110,13 +120,14 @@ class Permutation(object):
     def __mul__(self, other):
         if self.m != other.m:
             raise ValueError("permutation sizes differ")
-        return Permutation(other.images[i - 1] for i in self.images)
+        images = other.images
+        return Permutation._derived(tuple([images[i - 1] for i in self.images]))
 
     def inverse(self):
         out = [0] * self.m
         for i, img in enumerate(self.images):
             out[img - 1] = i + 1
-        return Permutation(out)
+        return Permutation._derived(tuple(out))
 
     def __pow__(self, n):
         n %= self.order()
@@ -390,10 +401,9 @@ class Portrait(object):
         hit = Portrait._products.get(key)
         if hit is not None:
             return hit[2]
-        images = self.root.images
-        kids = tuple(
-            child._mul(other.children[images[y] - 1])
-            for y, child in enumerate(self.children))
+        theirs = other.children
+        kids = tuple([child._mul(theirs[y - 1])
+                      for child, y in zip(self.children, self.root.images)])
         node = Portrait.make(self.root * other.root, kids)
         Portrait._products.put(key, (self, other, node))
         return node
@@ -455,24 +465,32 @@ class Portrait(object):
 
         Vertices are numbered lexicographically (first letter most
         significant), matching breadth-first order; the result is 1-indexed.
+        The images below each distinct DAG node are computed once per call,
+        in a table keyed on node id: the portrait holds every node, so no id
+        is reused while the table lives, and a node's depth fixes its level.
         """
         if l < 1 or l > self.depth:
             raise DepthExceeded("level %d outside portrait depth %d" % (l, self.depth))
+        m = self.m
+        seen = {}
 
         def images(node, lev):
+            # 1-indexed images of the m^lev vertices below node
+            out = seen.get(id(node))
+            if out is not None:
+                return out
             if lev == 1:
-                return [img - 1 for img in node.root.images]
-            block = self.m ** (lev - 1)
-            out = [0] * (self.m * block)
-            for y in range(1, self.m + 1):
-                sub = images(node.children[y - 1], lev - 1)
-                base = (y - 1) * block
-                tbase = (node.root.apply(y) - 1) * block
-                for w in range(block):
-                    out[base + w] = tbase + sub[w]
+                out = node.root.images
+            else:
+                block = m ** (lev - 1)
+                out = []
+                for child, y in zip(node.children, node.root.images):
+                    tbase = (y - 1) * block
+                    out += [tbase + w for w in images(child, lev - 1)]
+            seen[id(node)] = out
             return out
 
-        return Permutation(i + 1 for i in images(self, l))
+        return Permutation._derived(tuple(images(self, l)))
 
     def __repr__(self):
         return "Portrait(depth=%d, root=%r)" % (self.depth, self.root)
@@ -492,11 +510,13 @@ def _products_equal(p, q, r, s, memo):
     if hit is not None:
         return hit
     pi, qi, ri, si = p.root.images, q.root.images, r.root.images, s.root.images
-    ok = all(qi[pi[y] - 1] == si[ri[y] - 1] for y in range(len(pi)))
+    ok = [qi[a - 1] for a in pi] == [si[b - 1] for b in ri]
     if ok and p.children:
-        ok = all(_products_equal(p.children[y], q.children[pi[y] - 1],
-                                 r.children[y], s.children[ri[y] - 1], memo)
-                 for y in range(len(pi)))
+        qc, sc = q.children, s.children
+        for pc, a, rc, b in zip(p.children, pi, r.children, ri):
+            if not _products_equal(pc, qc[a - 1], rc, sc[b - 1], memo):
+                ok = False
+                break
     memo[key] = ok
     return ok
 
@@ -1159,7 +1179,8 @@ class FoldSystem(System):
                 "key depth %d outside 1..%d" % (n, self.ctx.K))
         m = self.ctx.m
         M = m ** n
-        q = self._qsum
+        # q is a polynomial of degree at most D: q_i = 0 above D
+        q = self._qsum + (0,) * n
         s = [m ** (n - 1)]
         for i in range(1, n):
             s.append(sum(q[t - 1] * s[i - t] for t in range(1, i + 1)) // m)
@@ -1264,36 +1285,34 @@ class FoldSystem(System):
         degrees d of the level-(l-1-d) permutation raised to p_y[d], each
         coefficient reduced mod m^(l-1-d); the root cycles the blocks.
         Vertex numbering matches Portrait.level_perm.
+
+        Each (letter, degree) term acts on a block through one lift table,
+        whose entry at u + v (u a multiple of the width m^(l-1-d), v below
+        it) is u + piece[v]; the terms compose by gathering through those
+        tables, starting from the first nonzero term.
         """
         if l < 1:
             raise DepthExceeded("level must be at least 1")
         m = self.ctx.m
-        sig = [None, tuple(i - 1 for i in self.sigma.images)]
+        sig = [None, tuple([i - 1 for i in self.sigma.images])]
         for lev in range(2, l + 1):
             block = m ** (lev - 1)
-            out = [0] * (m * block)
-            for y in range(1, m + 1):
-                ty = tuple(range(block))
-                for d, p in enumerate(self._plifts[y - 1]):
-                    if d > lev - 2:
-                        break
+            out = []
+            for p_y, y in zip(self._plifts, self.sigma.images):
+                ty = None
+                for d, p in enumerate(p_y[:lev - 1]):
                     sub = lev - 1 - d
-                    e = p % (m ** sub)
+                    width = m ** sub
+                    e = p % width
                     if e == 0:
                         continue
                     piece = _perm_tuple_pow(sig[sub], e)
-                    width = m ** sub
-                    lifted = []
-                    for idx in ty:
-                        u, vv = divmod(idx, width)
-                        lifted.append(u * width + piece[vv])
-                    ty = tuple(lifted)
-                base = (y - 1) * block
-                tbase = (self.sigma.apply(y) - 1) * block
-                for w in range(block):
-                    out[base + w] = tbase + ty[w]
-            sig.append(tuple(out))
-        return Permutation(i + 1 for i in sig[l])
+                    lift = [u + v for u in range(0, block, width) for v in piece]
+                    ty = lift if ty is None else [lift[t] for t in ty]
+                tbase = (y - 1) * block
+                out += [tbase + t for t in (range(block) if ty is None else ty)]
+            sig.append(out)
+        return Permutation._derived(tuple([i + 1 for i in sig[l]]))
 
 
 def level_perm_fast(gen_expr, l):

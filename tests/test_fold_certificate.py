@@ -342,3 +342,32 @@ def test_word_portraits_part_states_as_equal_to_depth_does(system, data):
         assert ((nodes[a] == nodes[b])
                 == exprs[a].equal_to_depth(exprs[b], depth))
     assert nodes == [e.portrait(depth) for e in exprs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_systems(), st.data())
+def test_word_portraits_expand_one_residue_per_class(system, data):
+    # exponents that differ by k*m^(d-i)*x^i (i < d) or by terms of degree
+    # d and up expand from one residue: the twin adds no decomposition
+    ctx = system.ctx
+    d = data.draw(st.integers(1, ctx.L))
+    q = data.draw(exponents(system))
+    twin = list(q)
+    for i in range(ctx.D + 1):
+        step = ctx.m ** (d - i) if i < d else 1
+        twin[i] += step * data.draw(st.integers(-3, 3))
+    exprs = [AutExpr(system, (("g", c),)) for c in (q, tuple(twin))]
+    words = []
+    expand = system._decompose_normal
+
+    def spy(word):
+        words.append(word)
+        return expand(word)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(system, "_decompose_normal", spy)
+        one = list(_word_portraits(system, exprs[:1], d))
+        alone = len(words)
+        both = list(_word_portraits(system, exprs, d))
+    assert len(words) == 2 * alone
+    assert both[0] is both[1] is one[0] == exprs[1].portrait(d)

@@ -10,7 +10,9 @@ behind the closure's DedupeCollision check, and the check's own portrait
 helper, must not reach that key.  A FoldSystem shares System's word path
 and differs only at the atom, and the recursions on normal words never
 normalize again.  Every cost cap and budget the package
-defines is read by the package, so none is a dead knob.
+defines is read by the package, so none is a dead knob.  Permutations
+built from input pass the bijection check: the unchecked constructor,
+for images derived from valid permutations, is called in tree.py only.
 """
 
 import ast
@@ -142,6 +144,20 @@ def test_dedupe_spot_check_never_reaches_the_portrait_key():
     reached = reached_from(calls, ["_word_portraits"])
     assert "_decompose_normal" in reached
     assert reached.isdisjoint(KEYED + ("_fold_key", "_fold_forms", "portrait"))
+
+
+def test_unchecked_permutations_are_built_only_in_tree():
+    # cli, endo, suites and closure build images from input (cycles, JSON,
+    # sigma, user images), so they must go through Permutation.__init__
+    calls = {}
+    for name, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_derived"):
+                calls.setdefault(name, []).append(node.lineno)
+    assert "tree.py" in calls
+    assert sorted(calls) == ["tree.py"]
 
 
 WORD_PATH = ("_normalize", "_word_decompose", "_decompose_normal",
