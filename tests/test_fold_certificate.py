@@ -10,7 +10,8 @@ diagonal copy embedded block by block; the other is the loop that gave
 every pair its own `_commutes` memo.  The recurrence witness makes its
 candidates as the scan reaches them; its oracle is the search that built
 them all first.  The DedupeCollision spot check compares word-path
-portraits; its oracle is pairwise `equal_to_depth`.  The gate's peel
+portraits, expanded from each atom's depth-d residue; its oracle is
+pairwise `equal_to_depth`.  The gate's peel
 check compares the digits a depth-8 peel determines, those below degree
 8, and checks g raised to the `reduce_mod_r` series against g^n; the
 quaternary gate does the same at depth 10.

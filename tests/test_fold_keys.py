@@ -269,13 +269,14 @@ def test_composite_keys_need_exactly_w_forms(m, q, ws):
             assert key_images(system, n, drop=1) < m ** n
 
 
-@pytest.mark.parametrize("ps", [(0, 1), (0, (2, 1)), (0, 2), ((1, 1), 0)])
+@pytest.mark.parametrize("ps", [[[0], [1]], [[0], [2, 1]], [[0], [2]],
+                                [[1, 1], [0, 0, 0, 1]]])
 def test_key_forms_past_the_degree_bound(ps):
     # q has degree at most D, so its coefficients above D are 0 and every
     # key depth up to K gets complete forms, also past D + 2
     ctx = Context(2, K=10, D=3, L=3)
-    system = FoldSystem(ctx, "g", [PowerSeries(ctx.mod, ctx.D, list(
-        p) if isinstance(p, tuple) else [p]) for p in ps], "(1 2)")
+    system = FoldSystem(ctx, "g", [PowerSeries(ctx.mod, ctx.D, p)
+                                   for p in ps], "(1 2)")
     for n in range(1, ctx.K + 1):
         assert key_images(system, n) == 2 ** n
         if len(system.key_forms(n)) > 1:
