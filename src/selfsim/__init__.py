@@ -18,10 +18,10 @@ from .closure import (
     order_to_depth, peel, restrict_to_orbit, state_closure, zeta,
 )
 from .endo import (
-    AddingMachineConjugation, FgAbelianGroup, NonUnitSum, SelfSimilarMachine,
-    StageRootDrift, Transversal, VirtualEndo, adding_machine_conjugator,
-    closed_form_conjugator, closed_form_sequences, coset_permutation,
-    phi_rep, transversal_change, triple_from_json,
+    AddingMachineConjugation, FgAbelianGroup, MalformedTriple, NonUnitSum,
+    SelfSimilarMachine, StageRootDrift, Transversal, VirtualEndo,
+    adding_machine_conjugator, closed_form_conjugator, closed_form_sequences,
+    coset_permutation, phi_rep, transversal_change, triple_from_json,
 )
 from .suites import CRITERIA, SUITES, run_criterion, run_suite
 

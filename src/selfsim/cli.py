@@ -39,7 +39,9 @@ from .adic import (ContextMismatch, SeriesSyntaxError, format_series,
                    parse_series, reduce_mod_r)
 from .closure import (ZetaUnbounded, _built, _walk, extract_relations,
                       order_to_depth, state_closure, zeta)
-from .endo import phi_rep, adding_machine_conjugator, triple_from_json
+from .endo import (
+    MalformedTriple, adding_machine_conjugator, phi_rep, triple_from_json,
+)
 from .tree import (Context, ContextError, FoldSystem, Permutation,
                    ShapeMismatch, System, _env_cache_cap)
 
@@ -644,6 +646,8 @@ class Session(object):
             endo, transversal = triple_from_json(data)
         except KeyError as exc:
             raise CliRunError(line, "missing key %s" % exc, EXIT_PARSE)
+        except MalformedTriple as exc:
+            raise CliRunError(line, str(exc), EXIT_PARSE)
         ctx = Context(endo.index,
                       **{k: self.defaults[k] for k in ("K", "D", "L")})
         machine = phi_rep(endo, transversal, ctx=ctx)

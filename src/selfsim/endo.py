@@ -13,17 +13,19 @@ transversal product lambda = gamma gamma^(1) gamma^(2) ... and the
 corecursive conjugator taking a single-generator recursion with unit
 exponent sum onto the generalized adding machine.  The latter lives at
 portrait level because its factors have unequal components and arbitrary
-host systems would force exponential expansions.  Its stages multiply
-from the right, and beta h == h target is checked node pair by node pair.
+host systems would force exponential expansions.  Its portrait is built
+by one recursion memoized per (level, exponent class), and
+beta h == h target is checked node pair by node pair.
 """
 
 from math import gcd
+from operator import mul
 
 from .adic import NonUnit, PowerSeries
 from .intlin import lattice_index, left_kernel, solve_left
 from .tree import (
     Context, ContextError, FoldSystem, Permutation, Portrait, ShapeMismatch,
-    System, _products_equal, _uniform_portrait, adding_machine,
+    System, _products_equal, adding_machine,
 )
 
 
@@ -33,6 +35,10 @@ class NonUnitSum(ArithmeticError):
 
 class StageRootDrift(ArithmeticError):
     pass
+
+
+class MalformedTriple(TypeError):
+    """A field of a group triple has the wrong JSON type."""
 
 
 class FgAbelianGroup(object):
@@ -277,13 +283,18 @@ def transversal_change(h_list, v, t, ctx=None):
 class AddingMachineConjugation(object):
     """Corecursive conjugator onto the generalized adding machine.
 
-    Built as a stream of level-indexed prefix factors; factor n has trivial
-    root, entries inverse partial products of the states of beta^(q^n)
-    along the root cycle, and sits nj levels down.  Materialized as a
-    portrait: the factors have unequal components, so they live in no
+    Defined by a stream of level-indexed prefix factors; factor n has
+    trivial root, entries inverse partial products of the states of
+    beta^(q^n) along the root cycle, and sits nj levels down.  Materialized
+    as a portrait: the factors have unequal components, so they live in no
     abelian system, and hosting them on a generic engine would force
-    integer exponents far past any expansion budget.  conjugates is whether
-    beta h == h target for h the conjugator, compared node pair by node pair.
+    integer exponents far past any expansion budget.  The portrait is not
+    a product of factor portraits: below a vertex of level k the product
+    acts as beta^E followed by the factors at and below level k, so each
+    node is read off (k, the class of E) in one memoized recursion, and
+    the uniform relabel multiplies every root on the right.  conjugates is
+    whether beta h == h target for h the conjugator, compared node pair by
+    node pair.
     """
 
     __slots__ = ("beta", "j", "depth", "factors", "relabel", "conjugator",
@@ -343,7 +354,6 @@ def adding_machine_conjugator(beta, j, depth=None):
     relabel = Permutation(cycle.index(y) + 1 for y in range(1, m + 1))
 
     factors = []
-    stages = []
     qn = PowerSeries.constant(ctx.mod, ctx.D, 1)
     for n in range((depth + j - 1) // j):   # the stages with n j < depth
         root, kids = beta.pow_series(qn).decompose()
@@ -353,40 +363,65 @@ def adding_machine_conjugator(beta, j, depth=None):
                 % (n, root, system.sigma))
         exps = [PowerSeries(ctx.mod, ctx.D, c.word[0][1] if c.word else ())
                 for c in kids]
-        sub_depth = depth - n * j
         partial = PowerSeries(ctx.mod, ctx.D)
-        entries, series = [None] * m, [None] * m
+        series = [None] * m
         for letter, e in zip(cycle, (exps[z - 1] for z in cycle)):
             series[letter - 1] = -partial
-            if sub_depth > 1:
-                entries[letter - 1] = beta.pow_series(
-                    partial).inverse().portrait(sub_depth - 1)
             partial = partial + e
-        below = tuple(entries) if sub_depth > 1 else ()
-        stages.append(Portrait.make(Permutation.identity(m), below))
         factors.append(tuple(series))
         qn = qn * q
     # Conjugation by relabel at every vertex renames letters uniformly on
     # all levels, turning the recursion along sigma's cycle into the
     # recursion along the standard cycle (1 2 ... m).
-    conj = _stage_product(stages, j) * _uniform_portrait(relabel, depth)
+    conj = _conjugator_portrait(system, factors, j, relabel, depth)
     target = adding_machine(Context(m, ctx.K, ctx.D, depth), j).portrait(depth)
     conjugates = _products_equal(beta.portrait(depth), conj, conj, target, {})
     return AddingMachineConjugation(beta, j, depth, tuple(factors), relabel,
                                     conj, target, conjugates)
 
 
-def _stage_product(stages, step):
-    """p_0 * p_1^(step) * p_2^(2 step) * ... for p_n of depth L - n step,
-    p^(k) being p suspended k levels.  Suspension is a homomorphism, so
-    this is p_0 * (p_1 * (p_2 * ...)^(step))^(step), folded from the right:
-    each partial product is a node of the result, not a full-depth prefix
-    product left in Portrait._products.
+def _conjugator_portrait(system, factors, step, relabel, depth):
+    """The depth-bounded portrait of S * U, built node by node.
+
+    S = p_0 * p_1^(step) * p_2^(2 step) * ..., where p_n has trivial root
+    and g^(factors[n][y - 1]) at letter y, and p^(k) is p at every vertex
+    k levels down; U carries relabel at every vertex.  Below a vertex of
+    level k, S acts as g^E * R_k: the stages above level k contribute
+    states of g, which add up because g's closure is abelian, and R_k, the
+    product of the stages at and below level k, has trivial root.  So
+    the node has root sigma^c * relabel, c = E(0) mod m (multiplying by U
+    multiplies every root on the right), and its child at letter z has
+    exponent child_z(E), plus factors[n][(z)sigma^c - 1] when k = n step.
+    The walk starts from E = 0 at level 0.  g^E below level k is read to
+    depth - k <= L <= K, so two exponents with equal key_table(depth - k)
+    values give one node (FoldSystem._portrait), and the memo is keyed by
+    (k, those values).
     """
-    result = stages[-1]
-    for pn in reversed(stages[:-1]):
-        result = pn * result.suspended(step)
-    return result
+    m, mK = system.ctx.m, system._mK
+    offsets = [tuple(f.lifts() for f in stage) for stage in factors]
+    memo = {}
+
+    def node(exps, k):
+        forms, M = system.key_table(depth - k)
+        key = (k,) + tuple([sum(map(mul, exps, f)) % M for f in forms])
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        c, _, child = system._exponent_child(exps)
+        turn = system._sigma_powers[c]
+        kids = ()
+        if k < depth - 1:
+            n, r = divmod(k, step)
+            kids = [child(z) for z in range(m)]
+            if r == 0:
+                kids = [tuple([(a + b) % mK for a, b in
+                               zip(e, offsets[n][y - 1])])
+                        for e, y in zip(kids, turn.images)]
+            kids = tuple([node(e, k + 1) for e in kids])
+        memo[key] = out = Portrait.make(turn * relabel, kids)
+        return out
+
+    return node((0,) * (system.ctx.D + 1), 0)
 
 
 def closed_form_sequences(q, n_max):
@@ -414,13 +449,39 @@ def triple_from_json(data):
 
     Keys: free_rank (int), torsion (list of orders, optional), H_gens
     (list of vectors), f_images (list of vectors), transversal (list of
-    vectors).
+    vectors); a vector is a list of integers.  Raises KeyError for a
+    missing required key and MalformedTriple for a value of the wrong
+    JSON type; the classes check lengths and the group conditions.
     """
-    group = FgAbelianGroup(int(data.get("free_rank", 0)),
-                           tuple(int(d) for d in data.get("torsion", ())))
-    v = VirtualEndo(group, data["H_gens"], data["f_images"])
-    t = Transversal(v, data["transversal"])
+    if not isinstance(data, dict):
+        raise MalformedTriple("a triple must be a JSON object")
+    free_rank = data.get("free_rank", 0)
+    if not _is_int(free_rank):
+        raise MalformedTriple("free_rank must be an integer")
+    group = FgAbelianGroup(free_rank,
+                           _integers(data.get("torsion", []), "torsion"))
+    v = VirtualEndo(group, _vectors(data, "H_gens"), _vectors(data, "f_images"))
+    t = Transversal(v, _vectors(data, "transversal"))
     return v, t
+
+
+def _is_int(value):
+    return type(value) is int   # JSON true and false are bools, not ints
+
+
+def _integers(value, key):
+    if not (isinstance(value, list) and all(map(_is_int, value))):
+        raise MalformedTriple("%s must be a list of integers" % key)
+    return value
+
+
+def _vectors(data, key):
+    value = data[key]
+    if not (isinstance(value, list) and all(
+            isinstance(vec, list) and all(map(_is_int, vec))
+            for vec in value)):
+        raise MalformedTriple("%s must be a list of integer vectors" % key)
+    return value
 
 
 def closed_form_conjugator(beta, depth=None):
@@ -432,11 +493,7 @@ def closed_form_conjugator(beta, depth=None):
     depth = ctx.depth(depth)
     qsum = PowerSeries(ctx.mod, ctx.D, system._qsum)
     _, cps = closed_form_sequences(qsum, depth)
-    one = Permutation.identity(2)
-    stages = []
-    for n in range(depth - 1):   # stage n has depth - n levels
-        entry = beta.pow_series(cps[n]).inverse().portrait(depth - n - 1)
-        ident = _uniform_portrait(one, depth - n - 1)
-        stages.append(Portrait.make(one, (ident, entry)))
-    stages.append(Portrait.make(one, ()))
-    return _stage_product(stages, 1)
+    zero = PowerSeries(ctx.mod, ctx.D)
+    factors = [(zero, -cps[n]) for n in range(depth - 1)]
+    return _conjugator_portrait(system, factors, 1, Permutation.identity(2),
+                                depth)

@@ -223,6 +223,93 @@ def test_run_represent(tmp_path, capsys):
         {"name": "g[1]", "root": "(1 2)", "children": ["e", "g[1]"]}]
 
 
+ODOMETER = {"free_rank": 1, "torsion": [], "H_gens": [[2]],
+            "f_images": [[1]], "transversal": [[0], [1]]}
+
+
+@pytest.mark.parametrize("data,message", [
+    ([1, 2], "a triple must be a JSON object"),
+    ("text", "a triple must be a JSON object"),
+    (dict(ODOMETER, H_gens=5), "H_gens must be a list of integer vectors"),
+    (dict(ODOMETER, f_images=None),
+     "f_images must be a list of integer vectors"),
+    (dict(ODOMETER, transversal="ab"),
+     "transversal must be a list of integer vectors"),
+    (dict(ODOMETER, transversal=[["a"], [1]]),
+     "transversal must be a list of integer vectors"),
+    (dict(ODOMETER, transversal=[[2.5], [1]]),
+     "transversal must be a list of integer vectors"),
+    (dict(ODOMETER, free_rank=1.5), "free_rank must be an integer"),
+    (dict(ODOMETER, free_rank=True), "free_rank must be an integer"),
+    (dict(ODOMETER, torsion=None), "torsion must be a list of integers"),
+], ids=["list", "string", "H_gens-int", "f_images-null", "transversal-string",
+        "string-entry", "float-entry", "free_rank-float", "free_rank-bool",
+        "torsion-null"])
+def test_represent_rejects_malformed_triples(tmp_path, capsys, data, message):
+    # a wrongly typed field is a parse error (exit 2, file:line: message),
+    # not a traceback and not a silently truncated number
+    triple = tmp_path / "triple.json"
+    triple.write_text(json.dumps(data))
+    script = write_script(tmp_path, "represent %s" % triple)
+    code, out, err = run_cli(["run", script], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "%s:1: %s\n" % (script, message)
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                         st.floats(-3, 3, allow_nan=False), st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=6)
+
+
+@st.composite
+def triples(draw):
+    """A triple as JSON data: an index-m subgroup of Z with a transversal
+    of shifted residues, or vectors of small integers of one length (most
+    of those fail the group checks), then with one field, or the whole
+    triple, replaced by a value of any JSON type."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 4))
+        data = {"free_rank": 1, "H_gens": [[m]],
+                "f_images": [[draw(st.integers(-m, m))]],
+                "transversal": [[r + m * draw(st.integers(-1, 1))]
+                                for r in range(m)]}
+    else:
+        torsion = draw(st.lists(st.integers(1, 4), max_size=2))
+        dim = draw(st.integers(0 if torsion else 1, 2))
+        vectors = st.lists(st.lists(st.integers(-3, 3), min_size=dim,
+                                    max_size=dim), max_size=3)
+        data = {"free_rank": dim, "torsion": torsion,
+                "H_gens": draw(vectors), "f_images": draw(vectors),
+                "transversal": draw(vectors)}
+    mutation = draw(st.sampled_from(
+        [None, "triple", "free_rank", "torsion", "H_gens", "f_images",
+         "transversal"]))
+    if mutation == "triple":
+        return draw(JSON_VALUES)
+    if mutation is not None:
+        data[mutation] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=triples())
+def test_represent_fuzz_exits_cleanly(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("represent")
+    triple = root / "triple.json"
+    triple.write_text(json.dumps(data))
+    script = write_script(root, "represent %s" % triple)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", script])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_run_is_deterministic(tmp_path, capsys):
     script = write_script(tmp_path, "\n".join([
         "context m=2 K=8 D=8 L=8",

@@ -341,12 +341,46 @@ def test_conjugator_random_shapes():
 
 def left_fold(stages, step):
     """The conjugator as the product of prefixes, p_0 * p_1^(step) first:
-    the fold the right-folded _stage_product replaced, kept as its oracle."""
+    the portrait-product fold the keyed recursion replaced, kept as its
+    oracle."""
     conj = None
     for n, pn in enumerate(stages):
         lifted = pn.suspended(n * step)
         conj = lifted if conj is None else conj * lifted
     return conj
+
+
+def stage_portrait(beta, entries, sub_depth):
+    """Stage p_n: trivial root, beta^e at letter y for e = entries[y - 1],
+    each of depth sub_depth - 1 (a leaf when sub_depth is 1)."""
+    m = beta.system.ctx.m
+    below = () if sub_depth == 1 else tuple(
+        beta.pow_series(e).portrait(sub_depth - 1) for e in entries)
+    return Portrait.make(Permutation.identity(m), below)
+
+
+def stage_product_conjugator(beta, res):
+    """The adding-machine conjugator rebuilt from res.factors as stage
+    portraits, folded from the left and relabelled by a uniform portrait."""
+    stages = [stage_portrait(beta, stage, res.depth - n * res.j)
+              for n, stage in enumerate(res.factors)]
+    return left_fold(stages, res.j) * _uniform_portrait(res.relabel, res.depth)
+
+
+def closed_form_by_stages(beta, depth):
+    """Prod (e, beta^(-c'_n))^(n) from closed_form_sequences, stage n of
+    depth - n levels, folded from the left."""
+    ctx = beta.system.ctx
+    _, cps = closed_form_sequences(
+        PowerSeries(ctx.mod, ctx.D, beta.system._qsum), depth)
+    one = Permutation.identity(2)
+    stages = []
+    for n in range(depth - 1):
+        entry = beta.pow_series(cps[n]).inverse().portrait(depth - n - 1)
+        stages.append(Portrait.make(
+            one, (_uniform_portrait(one, depth - n - 1), entry)))
+    stages.append(Portrait.make(one, ()))
+    return left_fold(stages, 1)
 
 
 def conjugates_by_products(beta, res):
@@ -358,13 +392,11 @@ def conjugates_by_products(beta, res):
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(2, 4), j=st.integers(1, 3), depth=st.integers(1, 8),
        seed=st.integers(0, 2 ** 32 - 1), invert=st.booleans())
-def test_right_fold_matches_left_fold(m, j, depth, seed, invert):
+def test_keyed_recursion_matches_left_fold(m, j, depth, seed, invert):
     beta = random_fold(random.Random(seed), m, j,
                        Context(m, K=10, D=10, L=10), invert_cycle=invert)
     res = adding_machine_conjugator(beta, j, depth=depth)
-    with mock.patch.object(endo, "_stage_product", left_fold):
-        old = adding_machine_conjugator(beta, j, depth=depth)
-    assert res.conjugator is old.conjugator
+    assert res.conjugator is stage_product_conjugator(beta, res)
     assert res.verified() == conjugates_by_products(beta, res)
 
 
@@ -372,8 +404,7 @@ def test_closed_form_matches_left_fold():
     beta = binary_series_beta()
     for depth in range(1, 11):
         conj = closed_form_conjugator(beta, depth)
-        with mock.patch.object(endo, "_stage_product", left_fold):
-            assert closed_form_conjugator(beta, depth) is conj
+        assert conj is closed_form_by_stages(beta, depth)
         res = adding_machine_conjugator(beta, 1, depth=depth)
         assert conj == res.conjugator and res.verified()
 
@@ -381,17 +412,21 @@ def test_closed_form_matches_left_fold():
 def test_perturbed_conjugators_fail_verification():
     beta = binary_series_beta()
     swap = rooted_portrait(Permutation([2, 1]), 10)
+    build = endo._conjugator_portrait
 
-    def dropped(stages, step):
-        # the last nontrivial stage replaced by the identity
-        last = max(n for n, pn in enumerate(stages) if not pn.is_identity())
-        ident = _uniform_portrait(Permutation.identity(2), stages[last].depth)
-        return left_fold(stages[:last] + [ident] + stages[last + 1:], step)
+    def dropped(system, factors, step, relabel, depth):
+        # the last stage whose portrait is not the identity gets zero
+        # factors
+        last = max(n for n, stage in enumerate(factors) if not stage_portrait(
+            beta, stage, depth - n * step).is_identity())
+        zero = tuple(f * 0 for f in factors[last])
+        return build(system, factors[:last] + [zero] + factors[last + 1:],
+                     step, relabel, depth)
 
     for perturbed in (dropped,
-                      lambda stages, step: left_fold(stages, step) * swap,
-                      lambda stages, step: swap * left_fold(stages, step)):
-        with mock.patch.object(endo, "_stage_product", perturbed):
+                      lambda *args: build(*args) * swap,
+                      lambda *args: swap * build(*args)):
+        with mock.patch.object(endo, "_conjugator_portrait", perturbed):
             res = adding_machine_conjugator(beta, 1)
         assert not res.verified()
         assert not conjugates_by_products(beta, res)
@@ -399,11 +434,15 @@ def test_perturbed_conjugators_fail_verification():
 
 def test_conjugator_builds_no_inverse_portrait():
     # the verification compares beta * h with h * target node by node and
-    # the stages are folded from the right, so no portrait is inverted
+    # the conjugator is built node by node, so no portrait is inverted and
+    # no product is left in the computed table
     Portrait.clear_tables()
     res = adding_machine_conjugator(binary_series_beta(), 1)
     assert res.verified()
     assert len(Portrait._inverses) == 0
+    assert len(Portrait._products) == 0
+    closed_form_conjugator(binary_series_beta(), 10)
+    assert len(Portrait._products) == 0
 
 
 def test_conjugator_errors():
