@@ -399,26 +399,28 @@ def _conjugator_portrait(system, factors, step, relabel, depth):
     """
     m, mK = system.ctx.m, system._mK
     offsets = [tuple(f.lifts() for f in stage) for stage in factors]
+    tables = [system.key_table(depth - k) for k in range(depth)]
+    roots = [turn * relabel for turn in system._sigma_powers]
     memo = {}
 
     def node(exps, k):
-        forms, M = system.key_table(depth - k)
+        forms, M = tables[k]
         key = (k,) + tuple([sum(map(mul, exps, f)) % M for f in forms])
         hit = memo.get(key)
         if hit is not None:
             return hit
         c, _, child = system._exponent_child(exps)
-        turn = system._sigma_powers[c]
         kids = ()
         if k < depth - 1:
             n, r = divmod(k, step)
             kids = [child(z) for z in range(m)]
             if r == 0:
+                turn = system._sigma_powers[c].images
                 kids = [tuple([(a + b) % mK for a, b in
                                zip(e, offsets[n][y - 1])])
-                        for e, y in zip(kids, turn.images)]
+                        for e, y in zip(kids, turn)]
             kids = tuple([node(e, k + 1) for e in kids])
-        memo[key] = out = Portrait.make(turn * relabel, kids)
+        memo[key] = out = Portrait.make(roots[c], kids)
         return out
 
     return node((0,) * (system.ctx.D + 1), 0)
