@@ -1,21 +1,21 @@
 """State-closure analysis: saturation, restriction, peeling, relations.
 
 The state-closure of a set of tree automorphisms is everything reachable by
-repeatedly taking first-level states; one lazy breadth-first walk (_walk)
-finds it, and the same walk saturates every other set in the package: the
-machine states of as_machine, the root span that peel solves in, the
-letter orbits of a closure, and the machine states the CLI's represent
-lists.  For a foldable single-generator system the states are powers of one
-generator, so the walk runs on plain exponent coefficient tuples and an
-expression is built only for each state kept.  Those states are keyed by
-the linear invariant of FoldSystem.key_forms: w dot products per state (w
-the Weierstrass degree of the annihilator, 1 when q(0) is a unit mod m)
-that tell exponents apart exactly when the automorphisms differ to depth
-d.  The key is additive, so each state's m child keys follow from one dot
-product per form with its own exponent, and a child's tuple is built only
-when its key is new.  For anything else the walk runs on expressions,
-deduplicated by their depth-bounded portraits, which are hash-consed and
-therefore cheap keys.
+repeatedly taking first-level states.  For a foldable single-generator
+system the states are powers of one generator, so one plain breadth-first
+loop (_fold_walk) runs on exponent coefficient tuples and an expression is
+built only for each state kept.  Those states are keyed by the linear
+invariant of FoldSystem.key_forms: w dot products per state (w the
+Weierstrass degree of the annihilator, 1 when q(0) is a unit mod m, and
+then the key is a bare int) that tell exponents apart exactly when the
+automorphisms differ to depth d.  The key is additive, so each state's m
+child keys follow from one dot product per form with its own exponent, and
+a child's tuple is built only when its key is new.  For anything else one
+lazy breadth-first walk (_walk) runs on expressions, deduplicated by their
+depth-bounded portraits, which are hash-consed and therefore cheap keys;
+_walk also saturates the machine states of as_machine, the root span that
+peel solves in, the letter orbits of a closure, and the machine states the
+CLI's represent lists.
 
 After the walk, either engine is certified abelian by its state names
 (_names_abelian_depth) and looks for recurrence witnesses with one
@@ -78,46 +78,68 @@ def _reduced(values, M):
 
 
 def _fold_key(system, coeffs, depth):
+    """The linear key of g^coeffs at depth: a bare int for one form."""
     forms, M = _fold_forms(system, depth)
-    return _reduced(_form_values(forms, coeffs), M)
+    key = _reduced(_form_values(forms, coeffs), M)
+    return key[0] if len(key) == 1 else key
 
 
-def _fold_children(system, depth):
-    """children(Q) for _walk on the exponent tuples of a fold system.
+def _fold_walk(system, seeds, depth, overflow):
+    """The exponents of a fold closure's states: the seeds, then the
+    children of each kept one in turn, one per _fold_key; more than
+    ENUM_CAP raise SaturationOverflow(overflow).
 
-    The child of g^Q at source y has exponent P[c][y] + qsum*xi + Q', with
-    c and xi from Q(0) = c + m*xi and Q' the higher coefficients shifted
-    down one degree (FoldSystem._exponent_child).  The key is linear, so
-    that child's key is phi(P[c][y]) + xi*phi(qsum) + phi(Q'): the first
-    term is tabled here, once per walk, as table[c][f][y] for form f, and
-    phi(Q') is one dot product per form with that form raised one degree,
-    shared by all m children.  A child's tuple is built only for a new key.
+    A child's key is phi(P[c][y]) + xi*phi(qsum) + phi(Q') (the child
+    formula of FoldSystem._exponent_child): the first term is tabled once
+    per walk and phi(Q') is one dot product per form, shared by the m
+    children, whose tuples are built only for new keys, from one base
+    qsum*xi + Q'.  Tuples are carried at width W, 1 + the top nonzero
+    degree among the P[c][y], qsum and the seeds (the seeds are cut, and
+    zip cuts the base): every term of a child's coefficient of degree
+    j >= W is 0 (Q_W = 0 by induction), so a kept tuple is the full one
+    without trailing zeros, and the dot products only drop zero terms.
     """
     forms, M = _fold_forms(system, depth)
+    m, mK = system.ctx.m, system._mK
+    rows = itertools.chain([system._qsum], seeds, *system._prefix)
+    width = 1 + max([j for p in rows for j, v in enumerate(p) if v], default=0)
+    prefix, qsum = system._prefix, system._qsum
     table = [list(zip(*[_form_values(forms, p) for p in row]))
-             for row in system._prefix]
-    qvals = _form_values(forms, system._qsum)
+             for row in prefix]
+    qvals = _form_values(forms, qsum)
     raised = [(0,) + f for f in forms]
-    child_of = system._exponent_child
-
-    if len(forms) == 1:
-        # one form: 1-tuple keys straight from one column, no transpose
+    one = len(forms) == 1
+    if one:
         (a,), (f,) = qvals, raised
-        cols = [row[0] for row in table]
-
-        def children(q):
-            c, xi, child = child_of(q)
+        cols = [col for col, in table]
+    kept = []
+    seen = set()
+    for q in seeds:
+        k = _fold_key(system, q, depth)
+        if k not in seen:
+            seen.add(k)
+            kept.append(q[:width])
+    for q in kept:
+        if len(kept) > ENUM_CAP:
+            raise SaturationOverflow(overflow)
+        xi, c = divmod(q[0], m)
+        if one:
             b = xi * a + sum(map(mul, q, f))
-            return [((v + b) % M,) for v in cols[c]], child
-        return children
-
-    def children(q):
-        c, xi, child = child_of(q)
-        keys = zip(*[[(v + b) % M for v in col] for col, b in zip(
-            table[c], [xi * a + sum(map(mul, q, f))
-                       for a, f in zip(qvals, raised)])])
-        return keys, child
-    return children
+            keys = [(v + b) % M for v in cols[c]]
+        else:
+            keys = zip(*[[(v + b) % M for v in col] for col, b in zip(
+                table[c], [xi * a + sum(map(mul, q, f))
+                           for a, f in zip(qvals, raised)])])
+        base = None
+        for row, k in zip(prefix[c], keys):
+            if k not in seen:
+                seen.add(k)
+                if base is None:
+                    base = [s * xi + t for s, t in zip(qsum, q[1:] + (0,))]
+                kept.append(tuple([(p + t) % mK for p, t in zip(row, base)]))
+    if len(kept) > ENUM_CAP:
+        raise SaturationOverflow(overflow)
+    return kept
 
 
 def _built(items, key=None):
@@ -335,25 +357,31 @@ def _fold_recurrence_witness(system, generators, exponents, depth):
     qsum * (w(0) / m) + (w - w(0)) / x.  Candidates are the states'
     exponents, their negatives and their pairwise sums, compared by the
     linear key at depth - 1.  The key is linear, so a candidate is carried
-    as (w(0), form values of (w - w(0)) / x) and its state's key costs one
-    multiply-add per form, with no exponent tuple built.
+    as [w(0), form values of (w - w(0)) / x] and its state's key costs one
+    multiply-add per form, with no exponent tuple built.  A single's form
+    values are made when first read: for its own key only if m | w(0).
     """
     m = system.ctx.m
     forms, M = _fold_forms(system, max(1, depth - 1))
     qsum = _form_values(forms, system._qsum)
 
+    def tail(c):
+        if c[1] is None:
+            c[1] = _form_values(forms, c[2][1:])
+        return c[1]
+
     def first_state_key(c):
-        v, tail = c
+        v = c[0]
         if v % m:
             return None
-        return _reduced([v // m * q + t for q, t in zip(qsum, tail)], M)
+        return _reduced([v // m * q + t for q, t in zip(qsum, tail(c))], M)
 
     return _witnessed(
         [_reduced(_form_values(forms, system._exponent(g.word)), M)
          for g in generators],
-        ((w[0], _form_values(forms, w[1:])) for w in exponents),
-        lambda c: (-c[0], [-t for t in c[1]]),
-        lambda a, b: (a[0] + b[0], [x + y for x, y in zip(a[1], b[1])]),
+        ([w[0], None, w] for w in exponents),
+        lambda c: [-c[0], [-t for t in tail(c)]],
+        lambda a, b: [a[0] + b[0], [x + y for x, y in zip(tail(a), tail(b))]],
         first_state_key)
 
 
@@ -385,11 +413,12 @@ def state_closure(generators, depth=None):
     context depth, and those names are every defined generator, the system
     is marked so, which lets later algebra merge exponents.
 
-    A fold closure checks its linear keys after the walk: when it keeps at
-    most SPOT_CHECK_CAP states, each state's portrait is expanded once on
-    the word path (_word_portraits, which never reads the key) and the
-    first state whose portrait was seen raises DedupeCollision.  The cap
-    stays because word-path expansion does not merge exponents of one
+    A fold closure pads each walked exponent back to D + 1 coefficients,
+    a canonical word, and checks its linear keys after the walk: when it
+    keeps at most SPOT_CHECK_CAP states, each state's portrait is expanded
+    once on the word path (_word_portraits, which never reads the key) and
+    the first state whose portrait was seen raises DedupeCollision.  The
+    cap stays because word-path expansion does not merge exponents of one
     class.  The fold recurrence witness reads the generator and the kept
     exponents, not the states.  Either witness scan stops at the first
     candidate that completes the match.
@@ -411,16 +440,15 @@ def state_closure(generators, depth=None):
             # their generators have 3 and 4 states to depth 1
             raise ContextError("need K >= 2 for a fold state closure")
         exponents = [system._exponent(g.word) for g in seeds]
-        kept = _capped(_walk(
-            exponents, _fold_children(system, depth),
-            lambda q: _fold_key(system, q, depth)), ENUM_CAP, overflow)
+        kept = _fold_walk(system, exponents, depth, overflow)
         # the walk keeps the seeds first, each unless an earlier one had its
         # key; those states stay the expressions as they were passed
         given = {}
         for g, q in zip(seeds, exponents):
             given.setdefault(_fold_key(system, q, depth), g)
-        states = list(given.values()) + [
-            AutExpr(system, ((system.name, q),)) for q in kept[len(given):]]
+        pad = (0,) * (ctx.D + 1 - len(kept[0]))
+        states = list(given.values()) + [AutExpr(system, (
+            (system.name, q + pad),)) for q in kept[len(given):]]
         if len(states) <= SPOT_CHECK_CAP:
             # the linear keys promise pairwise distinctness; spot-check it
             # on word-path portraits, raising at the first state of a seen

@@ -77,6 +77,8 @@ def solve_left(rows, target, cols):
 
 def lattice_index(rows, cols):
     """Index [Z^cols : row span], or None when the span has lower rank."""
+    if len(rows) < cols:
+        return None     # the rank is at most the row count: no column scan
     H, _, pivots = hnf(rows, cols)
     if len(pivots) < cols:
         return None

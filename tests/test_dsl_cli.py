@@ -257,6 +257,19 @@ def test_represent_rejects_malformed_triples(tmp_path, capsys, data, message):
     assert err == "%s:1: %s\n" % (script, message)
 
 
+def test_represent_rejects_a_huge_free_rank_quickly(tmp_path, capsys):
+    # no H generator spans a free rank of 10^12, and saying so takes no
+    # time that grows with the rank
+    triple = tmp_path / "triple.json"
+    triple.write_text(json.dumps({"free_rank": 10 ** 12, "H_gens": [],
+                                  "f_images": [], "transversal": []}))
+    script = write_script(tmp_path, "represent %s" % triple)
+    code, out, err = run_cli(["run", script], capsys)
+    assert code == 4
+    assert out == ""
+    assert "subgroup does not have finite index" in err
+
+
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                          st.floats(-3, 3, allow_nan=False), st.text(max_size=3))
 JSON_VALUES = st.recursive(

@@ -90,6 +90,17 @@ def test_lattice_index_and_kernel():
     assert left_kernel([[2, 0], [0, 3]], 2) == []
 
 
+def test_lattice_index_rejects_too_few_rows_without_a_column_scan():
+    # fewer rows than columns span a lattice of lower rank, so the index
+    # is None before hnf scans any column
+    def unreachable(rows, cols):
+        raise AssertionError("hnf called")
+
+    with mock.patch("selfsim.intlin.hnf", unreachable):
+        assert lattice_index([[2, 0]], 2) is None
+        assert lattice_index([], 10 ** 12) is None
+
+
 # ------------------------------------------------------------ group plumbing
 
 def test_group_normalize():

@@ -1,23 +1,90 @@
-"""Fold saturation on exponent tuples, against the word walk it replaced.
+"""Fold saturation on exponent tuples, against the walks it replaced.
 
-`state_closure` walks a fold system's closure on plain coefficient tuples:
-children come from `FoldSystem._exponent_child` (prefix sums along the
-root cycle) and states are keyed by `closure._fold_key`.  The oracles kept
-here are the breadth-first walk over `AutExpr` words, the c-step walk along
+`state_closure` walks a fold system's closure on plain coefficient tuples
+in one loop, `closure._fold_walk`: children follow the child formula of
+`FoldSystem._exponent_child` (prefix sums along the root cycle), states are
+keyed by `closure._fold_key`, and exponents are carried without the
+trailing zeros the recursion never fills.  The oracles kept here are the
+lazy `closure._walk` over full-width tuples with tuple keys and children
+from `FoldSystem._exponent_child` (`oracle_walk`, the fold walk before the
+loop), the breadth-first walk over `AutExpr` words, the c-step walk along
 the cycle for the child exponents, the generic `System` engine with states
 told apart by their portraits, and the carry loop `reduce_digits` had
 before it skipped zero relator terms.
 """
 
+from operator import mul
+
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from selfsim import closure
 from selfsim.adic import reduce_digits
-from selfsim.closure import ENUM_CAP, as_machine, state_closure
+from selfsim.closure import (
+    ENUM_CAP, SaturationOverflow, as_machine, state_closure,
+)
 from selfsim.tree import (
     AutExpr, Context, FoldSystem, Permutation, ShapeMismatch, System,
 )
 
-from test_fold_keys import exponent_digits, exponents, fold_systems
+from test_fold_keys import (
+    exponent_digits, exponents, fold_systems, keyed_systems,
+)
+
+
+def tuple_key(system, coeffs, depth):
+    """The linear key as a tuple of form values, one form or many."""
+    forms, M = system.key_table(depth)
+    return tuple([sum(map(mul, coeffs, f)) % M for f in forms])
+
+
+def oracle_children(system, depth):
+    """children(Q) for closure._walk on full-width exponent tuples.
+
+    The child of g^Q at source y has exponent P[c][y] + qsum*xi + Q', with
+    c and xi from Q(0) = c + m*xi and Q' the higher coefficients shifted
+    down one degree (FoldSystem._exponent_child).  The key is linear, so
+    that child's key is phi(P[c][y]) + xi*phi(qsum) + phi(Q'): the first
+    term is tabled once per walk as table[c][f][y] for form f, and phi(Q')
+    is one dot product per form with that form raised one degree.  Keys
+    are tuples, as tuple_key makes them; build(y) makes child y.
+    """
+    forms, M = system.key_table(depth)
+    table = [list(zip(*[[sum(map(mul, p, f)) for f in forms] for p in row]))
+             for row in system._prefix]
+    qvals = [sum(map(mul, system._qsum, f)) for f in forms]
+    raised = [(0,) + f for f in forms]
+
+    def children(q):
+        c, xi, child = system._exponent_child(q)
+        keys = zip(*[[(v + b) % M for v in col] for col, b in zip(
+            table[c], [xi * a + sum(map(mul, q, f))
+                       for a, f in zip(qvals, raised)])])
+        return keys, child
+    return children
+
+
+def oracle_walk(system, seeds, depth, overflow):
+    """The kept exponents of the fold walk on closure._walk, at full width.
+
+    Seeds are canonical exponents; ENUM_CAP is read when called.
+    """
+    return closure._capped(closure._walk(
+        seeds, oracle_children(system, depth),
+        lambda q: tuple_key(system, q, depth)), closure.ENUM_CAP, overflow)
+
+
+def oracle_states(gens, depth):
+    """state_closure's states, from the oracle walk."""
+    system = gens[0].system
+    seeds = [system.identity()] + list(gens)
+    exps = [system._exponent(g.word) for g in seeds]
+    kept = oracle_walk(system, exps, depth, "overflow")
+    given = {}
+    for g, q in zip(seeds, exps):
+        given.setdefault(tuple_key(system, q, depth), g)
+    return list(given.values()) + [
+        AutExpr(system, (("g", q),)) for q in kept[len(given):]]
 
 
 def word_walk(generators, depth):
@@ -195,3 +262,99 @@ def test_machine_names_match_the_old_walk(case):
     rows = [repr(machine.definition(name)) for name in
             sorted(machine.names(), key=lambda n: int(n[1:]))]
     assert rows == machine_walk(expr, depth)
+
+
+# ------------------------------------------------ the one-loop fold walk
+
+@st.composite
+def walk_cases(draw):
+    """A fold system, m 2..4, with one key form or several, a depth 1..L,
+    and canonical seed exponents: e, and one to three drawn exponents."""
+    if draw(st.booleans()):
+        system = draw(fold_systems())
+    else:
+        system, _ = draw(keyed_systems())
+    depth = draw(st.integers(1, system.ctx.L))
+    seeds = [system._zero_coeffs()] + [
+        system._exponent((("g", q),))
+        for q in draw(st.lists(exponents(system), min_size=1, max_size=3))]
+    return system, depth, seeds
+
+
+def padded(system, kept):
+    return [q + (0,) * (system.ctx.D + 1 - len(q)) for q in kept]
+
+
+def walk_both(system, seeds, depth):
+    """(outcome of _fold_walk, outcome of oracle_walk): each the kept
+    exponents, or the SaturationOverflow message."""
+    out = []
+    for walk in (closure._fold_walk, oracle_walk):
+        try:
+            out.append(walk(system, seeds, depth, "over %d" % depth))
+        except SaturationOverflow as exc:
+            out.append(str(exc))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+def test_fold_walk_keeps_the_oracle_exponents(case):
+    system, depth, seeds = case
+    kept, want = walk_both(system, seeds, depth)
+    assert len({len(q) for q in kept}) == 1
+    assert len(kept[0]) <= system.ctx.D + 1
+    assert padded(system, kept) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases(), st.integers(1, 6))
+def test_fold_walk_overflows_as_the_oracle_does(case, cap):
+    system, depth, seeds = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closure, "ENUM_CAP", cap)
+        kept, want = walk_both(system, seeds, depth)
+    if isinstance(want, str):
+        assert kept == want == "over %d" % depth
+    else:
+        assert len(want) <= cap
+        assert padded(system, kept) == want
+
+
+@pytest.mark.parametrize("p,cycle,power", [
+    ([0, 1], "(1 2)", "1 + x^5"),
+    ([0, "1 + x"], "(1 2)", "3 + 2*x^6"),
+    (["-3 + 2*x", "-2 - 3*x", "-1 - x"], "(1 2 3)", "1 + x^5"),
+    ([0, 0, 0, 2], "(1 2 3 4)", "5 + x + 3*x^7"),
+])
+def test_states_walked_from_a_trimmed_seed_are_canonical_words(p, cycle,
+                                                                power):
+    # a seed of higher degree than every p_y widens the walk, which still
+    # carries fewer than D + 1 coefficients; every state is a word of
+    # D + 1 coefficients, as the oracle's
+    system = FoldSystem(Context(len(p), K=9, D=8, L=8), "g", p, cycle)
+    gens = [system.generator(), system.generator().pow_series(power)]
+    for depth in (3, 6, 8):
+        report = state_closure(gens, depth=depth)
+        oracle = oracle_states(gens, depth)
+        assert [repr(s) for s in report.states] == [repr(s) for s in oracle]
+        assert report.to_json()["states"] == [repr(s) for s in oracle]
+        assert all(len(coeffs) == system.ctx.D + 1
+                   for s in report.states for _, coeffs in s.word)
+        kept = closure._fold_walk(system, [
+            system._exponent(g.word) for g in [system.identity()] + gens],
+            depth, "")
+        assert len(kept[0]) < system.ctx.D + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(closures())
+def test_closure_states_are_the_oracle_states(case):
+    gens, depth = case
+    report = state_closure(gens, depth=depth)
+    oracle = oracle_states(gens, depth)
+    assert [repr(s) for s in report.states] == [repr(s) for s in oracle]
+    assert report.to_json()["states"] == [repr(s) for s in oracle]
+    width = gens[0].system.ctx.D + 1
+    assert all(len(coeffs) == width
+               for s in report.states for _, coeffs in s.word)
