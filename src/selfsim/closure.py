@@ -85,9 +85,9 @@ def _fold_key(system, coeffs, depth):
 
 
 def _fold_walk(system, seeds, depth, overflow):
-    """The exponents of a fold closure's states: the seeds, then the
-    children of each kept one in turn, one per _fold_key; more than
-    ENUM_CAP raise SaturationOverflow(overflow).
+    """The exponents of a fold closure's states: the seeds (canonical,
+    D + 1 coefficients each), then the children of each kept one in turn,
+    one per _fold_key; more than ENUM_CAP raise SaturationOverflow(overflow).
 
     A child's key is phi(P[c][y]) + xi*phi(qsum) + phi(Q') (the child
     formula of FoldSystem._exponent_child): the first term is tabled once
@@ -101,8 +101,8 @@ def _fold_walk(system, seeds, depth, overflow):
     """
     forms, M = _fold_forms(system, depth)
     m, mK = system.ctx.m, system._mK
-    rows = itertools.chain([system._qsum], seeds, *system._prefix)
-    width = 1 + max([j for p in rows for j, v in enumerate(p) if v], default=0)
+    degrees = zip(system._qsum, *seeds, *itertools.chain(*system._prefix))
+    width = 1 + max([j for j, d in enumerate(degrees) if any(d)], default=0)
     prefix, qsum = system._prefix, system._qsum
     table = [list(zip(*[_form_values(forms, p) for p in row]))
              for row in prefix]
