@@ -28,6 +28,8 @@ per-system caches.
 """
 
 import argparse
+import collections
+import functools
 import itertools
 import json
 import os
@@ -88,16 +90,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-class Token(object):
-    __slots__ = ("kind", "value", "col")
-
-    def __init__(self, kind, value, col):
-        self.kind = kind
-        self.value = value
-        self.col = col
-
-    def __repr__(self):
-        return "Token(%s, %r)" % (self.kind, self.value)
+Token = collections.namedtuple("Token", "kind value col")
 
 
 def _strip_comment(text):
@@ -133,11 +126,19 @@ def _tokenize(text, line):
 
 
 class _LineParser(object):
-    def __init__(self, tokens, line, length):
-        self.tokens = tokens
+    """One statement line after its head.  Fields that read the raw text
+    (`represent`'s path, `verify`'s suite) start at `start`; the others
+    read tokens, which are made on first use."""
+
+    def __init__(self, line, text, start):
         self.line = line
-        self.length = length
-        self.i = 0
+        self.text = text
+        self.start = start
+        self.i = 1   # tokens[0] is the head
+
+    @functools.cached_property
+    def tokens(self):
+        return _tokenize(self.text, self.line)
 
     def peek(self, ahead=0):
         j = self.i + ahead
@@ -148,7 +149,7 @@ class _LineParser(object):
 
     def error(self, message, token=None):
         col = token.col if token is not None else (
-            self.tokens[self.i].col if not self.done() else self.length + 1)
+            self.tokens[self.i].col if not self.done() else len(self.text) + 1)
         raise CliParseError(self.line, col, message)
 
     def next(self, what="more input"):
@@ -165,12 +166,12 @@ class _LineParser(object):
                                                   tok.value), tok)
         return tok
 
-    def at_sym(self, sym):
-        tok = self.peek()
+    def at_sym(self, sym, ahead=0):
+        tok = self.peek(ahead)
         return tok is not None and tok.kind == "sym" and tok.value == sym
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- fields
 
 def _parse_factor(p):
     tok = p.expect("name", what="a generator name")
@@ -202,6 +203,18 @@ def _parse_word(p):
     return factors
 
 
+def _parse_words(p, at_most=None):
+    """Words up to the first option (a name followed by '=')."""
+    words = []
+    while not p.done() and not (p.peek().kind == "name" and p.at_sym("=", 1)):
+        words.append(_parse_word(p))
+        if at_most is not None and len(words) > at_most:
+            p.error("too many words (at most %d)" % at_most)
+    if not words:
+        p.error("expected a word")
+    return words
+
+
 def _parse_vertex(p):
     letters = [int(p.expect("int", what="a vertex letter").value)]
     while p.at_sym("."):
@@ -211,12 +224,6 @@ def _parse_vertex(p):
         if letter < 1:
             p.error("vertex letters count from 1")
     return letters
-
-
-def _at_kv(p):
-    nxt = p.peek(1)
-    return (not p.done() and p.peek().kind == "name"
-            and nxt is not None and nxt.kind == "sym" and nxt.value == "=")
 
 
 def _parse_kv(p, allowed):
@@ -229,29 +236,14 @@ def _parse_kv(p, allowed):
         if key_tok.value in pairs:
             p.error("option %r given twice" % key_tok.value, key_tok)
         p.expect("sym", "=")
-        if allowed[key_tok.value] is int:
-            val_tok = p.expect("int", what="an integer value")
-            pairs[key_tok.value] = int(val_tok.value)
-        else:
-            val_tok = p.expect("string", what="a quoted value")
-            pairs[key_tok.value] = val_tok.value
+        typ = allowed[key_tok.value]
+        val_tok = (p.expect("int", what="an integer value") if typ is int
+                   else p.expect("string", what="a quoted value"))
+        pairs[key_tok.value] = typ(val_tok.value)
     return pairs
 
 
-def _parse_words_then_kv(p, kv_spec, at_least=1, at_most=None):
-    words = []
-    while not p.done() and not _at_kv(p):
-        words.append(_parse_word(p))
-        if at_most is not None and len(words) > at_most:
-            p.error("too many words (at most %d)" % at_most)
-    if len(words) < at_least:
-        p.error("expected a word")
-    return words, _parse_kv(p, kv_spec)
-
-
-def _parse_gen(p):
-    name = p.expect("name", what="a generator name").value
-    p.expect("sym", "=")
+def _parse_entries(p, _):
     p.expect("sym", "(")
     entries = []
     while True:
@@ -259,8 +251,7 @@ def _parse_gen(p):
         if tok is None:
             p.error("unterminated entry list")
         if tok.kind == "name" and tok.value == "e" and (
-                p.peek(1) is not None and p.peek(1).kind == "sym"
-                and p.peek(1).value in (",", ")")):
+                p.at_sym(",", 1) or p.at_sym(")", 1)):
             p.next()
             entries.append(None)
         else:
@@ -269,7 +260,10 @@ def _parse_gen(p):
         if tok.kind != "sym" or tok.value not in (",", ")"):
             p.error("expected ',' or ')'", tok)
         if tok.value == ")":
-            break
+            return entries
+
+
+def _parse_cycles(p, _):
     cycles = []
     while p.at_sym("("):
         p.next()
@@ -280,108 +274,34 @@ def _parse_gen(p):
         if not cycle:
             p.error("empty cycle")
         cycles.append(cycle)
+    return cycles
+
+
+def _parse_end(p, what):
     if not p.done():
-        p.error("unexpected input after the generator definition")
-    return {"kind": "gen", "name": name, "entries": entries, "cycles": cycles}
+        p.error("unexpected input after " + what)
 
 
-_CONTEXT_KEYS = ("m", "K", "D", "L")
+def _parse_path(p, _):
+    path = p.text[p.start:].strip()
+    if not path:
+        raise CliParseError(p.line, len(p.text) + 1, "expected a file path")
+    return path
+
+
 # suite names are names that may also contain inner hyphens
 _SUITE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*(?:-[A-Za-z_0-9]+)*)")
 
 
-def _parse_verify(line, text, pos):
-    hit = _SUITE_RE.match(text, pos)
-    rest = text[hit.end() if hit else pos:]
+def _parse_suite(p, _):
+    hit = _SUITE_RE.match(p.text, p.start)
+    rest = p.text[hit.end() if hit else p.start:]
     if hit is None or rest.strip():
-        col = len(text) - len(rest.lstrip()) + 1
-        raise CliParseError(line, col, "unexpected input after the suite name"
-                            if hit else "expected a suite name")
-    return {"kind": "command", "cmd": "verify", "line": line,
-            "suite": hit.group(1)}
+        col = len(p.text) - len(rest.lstrip()) + 1
+        raise CliParseError(p.line, col, "unexpected input after the suite "
+                            "name" if hit else "expected a suite name")
+    return hit.group(1)
 
-
-def parse_statement(line, text):
-    """Parse one script line; returns a statement dict or None for blanks."""
-    text = _strip_comment(text).rstrip()
-    if not text.strip():
-        return None
-    head_match = re.match(r"\s*([A-Za-z_][A-Za-z_0-9]*)", text)
-    if head_match is None:
-        raise CliParseError(line, len(text) - len(text.lstrip()) + 1,
-                            "expected a statement")
-    head = head_match.group(1)
-    if head == "represent":
-        path = text[head_match.end():].strip()
-        if not path:
-            raise CliParseError(line, len(text) + 1, "expected a file path")
-        return {"kind": "command", "cmd": "represent", "line": line,
-                "path": path}
-    if head == "verify":
-        return _parse_verify(line, text, head_match.end())
-    tokens = _tokenize(text, line)
-    p = _LineParser(tokens, line, len(text))
-    p.next()  # the head name
-    if head == "context":
-        pairs = _parse_kv(p, {k: int for k in _CONTEXT_KEYS})
-        if "m" not in pairs:
-            p.error("context needs m=<arity>")
-        return {"kind": "context", "line": line, "pairs": pairs}
-    if head == "gen":
-        stmt = _parse_gen(p)
-        stmt["line"] = line
-        return stmt
-    if head == "let":
-        name = p.expect("name", what="a name").value
-        p.expect("sym", "=")
-        word = _parse_word(p)
-        if not p.done():
-            p.error("unexpected input after the word")
-        return {"kind": "let", "line": line, "name": name, "word": word}
-    if head in ("portrait", "order", "zeta"):
-        words, kv = _parse_words_then_kv(p, {"L": int}, at_most=1)
-        return {"kind": "command", "cmd": head, "line": line,
-                "word": words[0], "kv": kv}
-    if head == "act":
-        word = _parse_word(p)
-        vertex = _parse_vertex(p)
-        if not p.done():
-            p.error("unexpected input after the vertex")
-        return {"kind": "command", "cmd": "act", "line": line,
-                "word": word, "vertex": vertex}
-    if head in ("closure", "present"):
-        words, kv = _parse_words_then_kv(p, {"depth": int})
-        return {"kind": "command", "cmd": head, "line": line,
-                "words": words, "kv": kv}
-    if head == "reduce":
-        value = p.expect("string", what="a quoted series").value
-        kv = _parse_kv(p, {"r": str})
-        if "r" not in kv:
-            p.error("reduce needs r=\"<relator series>\"")
-        return {"kind": "command", "cmd": "reduce", "line": line,
-                "input": value, "kv": kv}
-    if head == "conjugate":
-        name = p.expect("name", what="a generator name").value
-        kv = _parse_kv(p, {"j": int, "L": int})
-        if "j" not in kv:
-            p.error("conjugate needs j=<shift>")
-        return {"kind": "command", "cmd": "conjugate", "line": line,
-                "name": name, "kv": kv}
-    raise CliParseError(line, head_match.start(1) + 1,
-                        "unknown statement %r" % head)
-
-
-def parse_script(text):
-    """Parse a whole script; returns the statement list."""
-    statements = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stmt = parse_statement(lineno, raw)
-        if stmt is not None:
-            statements.append(stmt)
-    return statements
-
-
-# ------------------------------------------------------------ formatting
 
 def format_factor(factor):
     out = factor["name"]
@@ -398,44 +318,201 @@ def format_word(word):
     return "*".join(format_factor(f) for f in word)
 
 
+def _format_vertex(letters):
+    return ".".join(str(a) for a in letters)
+
+
+# field kind -> (parse(p, arg), render(value)).  arg is the "expected ..."
+# text of a name or a quoted string, or what an end check follows; a field
+# that renders "" writes nothing.
+_FIELDS = {
+    "word": (lambda p, _: _parse_word(p), format_word),
+    "words": (lambda p, _: _parse_words(p),
+              lambda words: " ".join(format_word(w) for w in words)),
+    "one word": (lambda p, _: _parse_words(p, at_most=1)[0], format_word),
+    "vertex": (lambda p, _: _parse_vertex(p), _format_vertex),
+    "name": (lambda p, what: p.expect("name", what=what).value, str),
+    "quoted": (lambda p, what: p.expect("string", what=what).value,
+               '"{}"'.format),
+    "=": (lambda p, _: p.expect("sym", "="), lambda _: "="),
+    "end": (_parse_end, lambda _: ""),
+    "entries": (_parse_entries, lambda entries: "(%s)" % ", ".join(
+        "e" if w is None else format_word(w) for w in entries)),
+    "cycles": (_parse_cycles, lambda cycles: "".join(
+        "(%s)" % " ".join(str(a) for a in c) for c in cycles)),
+    "path": (_parse_path, str),
+    "suite": (_parse_suite, str),
+}
+
+
+# ---------------------------------------------------------- pretty rows
+
+def _indent_portrait_lines(portrait):
+    lines = []
+
+    def walk(node, path):
+        lines.append("  %-12s %s" % (path or "*", repr(node.root)))
+        for letter, child in enumerate(node.children, start=1):
+            walk(child, path + ("." if path else "") + str(letter))
+
+    walk(portrait, "")
+    return lines
+
+
+def _pretty_closure(row, _):
+    rep = row["report"]
+    lines = ["closure of %s: %d states (%d nontrivial), %s, "
+             "abelian to depth %d, recurrence %s"
+             % (" ".join(row["words"]), rep["state_count"],
+                rep["nontrivial_states"],
+                "transitive" if rep["transitive"] else
+                "orbits " + repr(rep["orbits"]),
+                rep["abelian_to_depth"],
+                "witnessed" if rep["recurrent_witnessed"] else
+                "not witnessed")]
+    return lines + ["  %s" % s for s in rep["states"]]
+
+
+def _pretty_represent(row, _):
+    lines = ["representation of %s on %d letters%s"
+             % (row["group"], row["index"],
+                " (truncated)" if row["truncated"] else "")]
+    return lines + ["  %s = (%s) %s" % (
+        state["name"], ", ".join(state["children"]), state["root"])
+        for state in row["states"]]
+
+
+def _pretty_verify(row, _):
+    lines = []
+    for criterion in row["criteria"]:
+        for check in criterion["checks"]:
+            lines.append("  [%s] %s" % (
+                "PASS" if check["pass"] else "FAIL", check["label"]))
+        lines.append("criterion %s: %s" % (
+            criterion["name"], "PASS" if criterion["pass"] else "FAIL"))
+    lines.append("suite %s: %s" % (
+        row["suite"], "PASS" if row["pass"] else "FAIL"))
+    return lines
+
+
+# ------------------------------------------------------- statement table
+
+# head -> its fields in order, each (key in the statement, field kind,
+# arg); its options (name -> int or str, in canonical order); the one
+# required option and its placeholder; and its --pretty formatter
+# (row, portrait) -> lines, None for statements that print no row.
+# Session runs a statement with its method _cmd_<head>.
+_Statement = collections.namedtuple("_Statement",
+                                    "fields options required pretty")
+_EQUALS = (None, "=", None)
+_ONE_WORD = (("word", "one word", None),)
+_WORDS = (("words", "words", None),)
+
+_STATEMENTS = {
+    "context": _Statement(
+        (), {"m": int, "K": int, "D": int, "L": int}, ("m", "<arity>"), None),
+    "gen": _Statement(
+        (("name", "name", "a generator name"), _EQUALS,
+         ("entries", "entries", None), ("cycles", "cycles", None),
+         (None, "end", "the generator definition")), {}, None, None),
+    "let": _Statement(
+        (("name", "name", "a name"), _EQUALS, ("word", "word", None),
+         (None, "end", "the word")), {}, None, None),
+    "portrait": _Statement(
+        _ONE_WORD, {"L": int}, None,
+        lambda row, portrait: ["portrait %(word)s depth=%(depth)d" % row]
+        + _indent_portrait_lines(portrait)),
+    "act": _Statement(
+        (("word", "word", None), ("vertex", "vertex", None),
+         (None, "end", "the vertex")), {}, None,
+        lambda row, _: [
+            "act %(word)s: %(vertex)s -> %(image)s   state %(state)s" % row]),
+    "order": _Statement(
+        _ONE_WORD, {"L": int}, None,
+        lambda row, _: ["order %(word)s depth=%(depth)d: %(order)d" % row]),
+    "zeta": _Statement(
+        _ONE_WORD, {"L": int}, None,
+        lambda row, _: ["zeta %(word)s: still trivial after "
+                        "%(stabilized_at_least)d levels" % row
+                        if row["zeta"] is None else
+                        "zeta %(word)s = %(zeta)d" % row]),
+    "closure": _Statement(_WORDS, {"depth": int}, None, _pretty_closure),
+    "present": _Statement(
+        _WORDS, {"depth": int}, None,
+        lambda row, _: ["presentation of %s: orders %s" % (
+            " ".join(row["words"]), row["orders"]),
+            "  relator: %(relator)s" % row]),
+    "reduce": _Statement(
+        (("input", "quoted", "a quoted series"),), {"r": str},
+        ("r", '"<relator series>"'),
+        lambda row, _: ["%(input)s mod (%(relator)s) = %(normal_form)s   "
+                        "digits %(digits)s (exact below degree "
+                        "%(exact_zone)d)" % row]),
+    "conjugate": _Statement(
+        (("name", "name", "a generator name"),), {"j": int, "L": int},
+        ("j", "<shift>"),
+        lambda row, _: ["conjugate %(generator)s with j=%(j)d: %(status)s "
+                        "to depth %(depth)d in %(stages)d stages" % dict(
+                            row, status="verified" if row["verified"]
+                            else "NOT VERIFIED")]),
+    "represent": _Statement(
+        (("path", "path", None),), {}, None, _pretty_represent),
+    "verify": _Statement(
+        (("suite", "suite", None),), {}, None, _pretty_verify),
+}
+
+
+# ---------------------------------------------------------------- parser
+
+def parse_statement(line, text):
+    """Parse one script line; returns a statement dict or None for blanks."""
+    text = _strip_comment(text).rstrip()
+    if not text.strip():
+        return None
+    head_match = re.match(r"\s*([A-Za-z_][A-Za-z_0-9]*)", text)
+    if head_match is None:
+        raise CliParseError(line, len(text) - len(text.lstrip()) + 1,
+                            "expected a statement")
+    head = head_match.group(1)
+    row = _STATEMENTS.get(head)
+    if row is None:
+        _tokenize(text, line)   # a bad character is reported first
+        raise CliParseError(line, head_match.start(1) + 1,
+                            "unknown statement %r" % head)
+    p = _LineParser(line, text, head_match.end())
+    stmt = {"kind": head, "line": line}
+    for key, kind, arg in row.fields:
+        value = _FIELDS[kind][0](p, arg)
+        if key is not None:
+            stmt[key] = value
+    if row.options:
+        kv = stmt["kv"] = _parse_kv(p, row.options)
+        if row.required and row.required[0] not in kv:
+            p.error("%s needs %s=%s" % ((head,) + row.required))
+    return stmt
+
+
+def parse_script(text):
+    """Parse a whole script; returns the statement list."""
+    statements = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stmt = parse_statement(lineno, raw)
+        if stmt is not None:
+            statements.append(stmt)
+    return statements
+
+
 def format_statement(stmt):
     """Render a parsed statement back to canonical script text."""
-    kind = stmt["kind"]
-    if kind == "context":
-        pairs = stmt["pairs"]
-        return "context " + " ".join(
-            "%s=%d" % (k, pairs[k]) for k in _CONTEXT_KEYS if k in pairs)
-    if kind == "gen":
-        entries = ", ".join(
-            "e" if w is None else format_word(w) for w in stmt["entries"])
-        cycles = "".join(
-            "(%s)" % " ".join(str(a) for a in c) for c in stmt["cycles"])
-        out = "gen %s = (%s)" % (stmt["name"], entries)
-        return out + (" " + cycles if cycles else "")
-    if kind == "let":
-        return "let %s = %s" % (stmt["name"], format_word(stmt["word"]))
-    cmd = stmt["cmd"]
-    parts = [cmd]
-    if cmd == "represent":
-        parts.append(stmt["path"])
-    elif cmd == "verify":
-        parts.append(stmt["suite"])
-    elif cmd == "reduce":
-        parts.append('"%s"' % stmt["input"])
-    elif cmd == "conjugate":
-        parts.append(stmt["name"])
-    elif cmd == "act":
-        parts.append(format_word(stmt["word"]))
-        parts.append(".".join(str(a) for a in stmt["vertex"]))
-    elif "word" in stmt:
-        parts.append(format_word(stmt["word"]))
-    else:
-        parts.extend(format_word(w) for w in stmt["words"])
-    for key in sorted(stmt.get("kv", ())):
-        val = stmt["kv"][key]
-        parts.append('%s="%s"' % (key, val) if isinstance(val, str)
-                     else "%s=%d" % (key, val))
-    return " ".join(parts)
+    row = _STATEMENTS[stmt["kind"]]
+    parts = [stmt["kind"]]
+    parts.extend(_FIELDS[kind][1](stmt.get(key))
+                 for key, kind, _ in row.fields)
+    for key, typ in row.options.items():
+        if key in stmt["kv"]:
+            parts.append(('%s="%s"' if typ is str else "%s=%d")
+                         % (key, stmt["kv"][key]))
+    return " ".join(part for part in parts if part)
 
 
 def format_script(statements):
@@ -500,31 +577,23 @@ class Session(object):
             expr = expr * base
         return expr
 
-    # -- statement dispatch
+    # -- statements, one _cmd_<head> method per head
 
     def execute(self, stmt):
-        kind = stmt["kind"]
-        if kind == "context":
-            self._do_context(stmt)
-        elif kind == "gen":
-            self._do_gen(stmt)
-        elif kind == "let":
-            self._do_let(stmt)
-        else:
-            getattr(self, "_cmd_" + stmt["cmd"])(stmt)
+        getattr(self, "_cmd_" + stmt["kind"])(stmt)
 
-    def _do_context(self, stmt):
+    def _cmd_context(self, stmt):
         if self.ctx is not None:
             raise CliRunError(stmt["line"], "context already declared",
                               EXIT_CONTEXT)
-        self._make_ctx(stmt["line"], stmt["pairs"])
+        self._make_ctx(stmt["line"], stmt["kv"])
 
     def _check_fresh(self, name, line):
         if name == "e" or name in self.lets or name in self.gens:
             raise CliRunError(line, "name %r already in use" % name,
                               EXIT_PARSE)
 
-    def _do_gen(self, stmt):
+    def _cmd_gen(self, stmt):
         line = stmt["line"]
         self.ensure_ctx(line)
         name = stmt["name"]
@@ -540,39 +609,36 @@ class Session(object):
             raise CliRunError(line, str(exc), EXIT_PARSE)
         self.gens.add(name)
 
-    def _do_let(self, stmt):
+    def _cmd_let(self, stmt):
         self._check_fresh(stmt["name"], stmt["line"])
         self.lets[stmt["name"]] = self.eval_word(stmt["word"], stmt["line"])
 
-    # -- commands
-
-    def _cmd_portrait(self, stmt):
+    def _word_at_depth(self, stmt):
+        """A one-word statement's value, its depth and its row so far."""
         expr = self.eval_word(stmt["word"], stmt["line"])
         depth = self.depth_arg(stmt["kv"])
+        return expr, depth, {"command": stmt["kind"], "depth": depth,
+                             "word": format_word(stmt["word"])}
+
+    def _cmd_portrait(self, stmt):
+        expr, depth, row = self._word_at_depth(stmt)
         portrait = expr.portrait(depth)
-        self.emit({"command": "portrait", "word": format_word(stmt["word"]),
-                   "depth": depth, "portrait": portrait.to_json()},
-                  portrait=portrait)
+        self.emit(dict(row, portrait=portrait.to_json()), portrait=portrait)
 
     def _cmd_act(self, stmt):
         expr = self.eval_word(stmt["word"], stmt["line"])
         image, state = expr.act(stmt["vertex"])
         self.emit({"command": "act", "word": format_word(stmt["word"]),
-                   "vertex": ".".join(str(a) for a in stmt["vertex"]),
-                   "image": ".".join(str(a) for a in image),
+                   "vertex": _format_vertex(stmt["vertex"]),
+                   "image": _format_vertex(image),
                    "state": repr(state)})
 
     def _cmd_order(self, stmt):
-        expr = self.eval_word(stmt["word"], stmt["line"])
-        depth = self.depth_arg(stmt["kv"])
-        self.emit({"command": "order", "word": format_word(stmt["word"]),
-                   "depth": depth, "order": order_to_depth(expr, depth)})
+        expr, depth, row = self._word_at_depth(stmt)
+        self.emit(dict(row, order=order_to_depth(expr, depth)))
 
     def _cmd_zeta(self, stmt):
-        expr = self.eval_word(stmt["word"], stmt["line"])
-        depth = self.depth_arg(stmt["kv"])
-        row = {"command": "zeta", "word": format_word(stmt["word"]),
-               "depth": depth}
+        expr, depth, row = self._word_at_depth(stmt)
         try:
             row["zeta"] = zeta(expr, depth)
         except ZetaUnbounded as exc:
@@ -689,81 +755,8 @@ class Session(object):
 
 # ------------------------------------------------------------- printing
 
-def _indent_portrait_lines(portrait):
-    lines = []
-
-    def walk(node, path):
-        lines.append("  %-12s %s" % (path or "*", repr(node.root)))
-        for letter, child in enumerate(node.children, start=1):
-            walk(child, path + ("." if path else "") + str(letter))
-
-    walk(portrait, "")
-    return lines
-
-
-def _pretty_lines(row):
-    cmd = row["command"]
-    if cmd == "portrait":
-        head = "portrait %s depth=%d" % (row["word"], row["depth"])
-        return [head]  # tree lines are appended by the caller
-    if cmd == "act":
-        return ["act %s: %s -> %s   state %s"
-                % (row["word"], row["vertex"], row["image"], row["state"])]
-    if cmd == "order":
-        return ["order %s depth=%d: %d" % (row["word"], row["depth"],
-                                           row["order"])]
-    if cmd == "zeta":
-        if row["zeta"] is None:
-            return ["zeta %s: still trivial after %d levels"
-                    % (row["word"], row["stabilized_at_least"])]
-        return ["zeta %s = %d" % (row["word"], row["zeta"])]
-    if cmd == "closure":
-        rep = row["report"]
-        lines = ["closure of %s: %d states (%d nontrivial), %s, "
-                 "abelian to depth %d, recurrence %s"
-                 % (" ".join(row["words"]), rep["state_count"],
-                    rep["nontrivial_states"],
-                    "transitive" if rep["transitive"] else
-                    "orbits " + repr(rep["orbits"]),
-                    rep["abelian_to_depth"],
-                    "witnessed" if rep["recurrent_witnessed"] else
-                    "not witnessed")]
-        lines.extend("  %s" % s for s in rep["states"])
-        return lines
-    if cmd == "present":
-        lines = ["presentation of %s: orders %s"
-                 % (" ".join(row["words"]), row["orders"])]
-        lines.append("  relator: %s" % row["relator"])
-        return lines
-    if cmd == "reduce":
-        return ["%s mod (%s) = %s   digits %s (exact below degree %d)"
-                % (row["input"], row["relator"], row["normal_form"],
-                   row["digits"], row["exact_zone"])]
-    if cmd == "conjugate":
-        return ["conjugate %s with j=%d: %s to depth %d in %d stages"
-                % (row["generator"], row["j"],
-                   "verified" if row["verified"] else "NOT VERIFIED",
-                   row["depth"], row["stages"])]
-    if cmd == "represent":
-        lines = ["representation of %s on %d letters%s"
-                 % (row["group"], row["index"],
-                    " (truncated)" if row["truncated"] else "")]
-        for state in row["states"]:
-            lines.append("  %s = (%s) %s" % (
-                state["name"], ", ".join(state["children"]), state["root"]))
-        return lines
-    if cmd == "verify":
-        lines = []
-        for criterion in row["criteria"]:
-            for check in criterion["checks"]:
-                lines.append("  [%s] %s" % (
-                    "PASS" if check["pass"] else "FAIL", check["label"]))
-            lines.append("criterion %s: %s" % (
-                criterion["name"], "PASS" if criterion["pass"] else "FAIL"))
-        lines.append("suite %s: %s" % (
-            row["suite"], "PASS" if row["pass"] else "FAIL"))
-        return lines
-    return [json.dumps(row, sort_keys=True)]
+def _pretty_lines(row, portrait=None):
+    return _STATEMENTS[row["command"]].pretty(row, portrait)
 
 
 class _Emitter(object):
@@ -777,10 +770,7 @@ class _Emitter(object):
             print(portrait.to_dot(), file=self.out)
             return
         if self.pretty:
-            lines = _pretty_lines(row)
-            if row["command"] == "portrait" and portrait is not None:
-                lines.extend(_indent_portrait_lines(portrait))
-            for line in lines:
+            for line in _pretty_lines(row, portrait):
                 print(line, file=self.out)
             return
         print(json.dumps(row, sort_keys=True), file=self.out)
@@ -871,7 +861,7 @@ def _run_script(args, out, err):
 def _run_verify(args, out, err):
     session = Session({}, _Emitter(args.pretty, False, out))
     try:
-        session._cmd_verify({"line": None, "suite": args.suite})
+        session.execute({"kind": "verify", "line": None, "suite": args.suite})
     except CliRunError as exc:
         print("selfsim: %s" % exc.message, file=err)
         return exc.code

@@ -117,6 +117,9 @@ class VirtualEndo(object):
         for h in self.h_gens:
             if len(h) != group.dim:
                 raise ValueError("subgroup generator has wrong length")
+        if len(self.h_gens) + len(group.torsion) < group.dim:
+            # too few rows for full rank; a torsion row has dim entries
+            raise ValueError("subgroup does not have finite index")
         self._stack = [list(h) for h in self.h_gens] + group.torsion_rows()
         index = lattice_index(self._stack, group.dim)
         if index is None:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import selfsim
-from selfsim import suites
+from selfsim import cli, suites
 from selfsim.cli import (CliParseError, format_script, format_statement,
                          main, parse_script, parse_statement)
 
@@ -50,12 +50,12 @@ def test_parse_gen_statement_shape():
 def test_parse_strips_comments_and_blanks():
     script = parse_script("# header\n\ncontext m=2  # inline\n")
     assert len(script) == 1
-    assert script[0] == {"kind": "context", "line": 3, "pairs": {"m": 2}}
+    assert script[0] == {"kind": "context", "line": 3, "kv": {"m": 2}}
 
 
 def test_parse_command_words_and_options():
     stmt = parse_statement(1, "closure a b*c depth=6")
-    assert stmt["cmd"] == "closure"
+    assert stmt["kind"] == "closure"
     assert [len(w) for w in stmt["words"]] == [1, 2]
     assert stmt["kv"] == {"depth": 6}
 
@@ -71,19 +71,60 @@ def test_parse_reduce_quotes():
     assert stmt["kv"]["r"] == "2 - x"
 
 
-def test_parse_error_positions():
+# (text, column, message) of every parse error path, each head's included
+PARSE_ERRORS = [
+    ("frobnicate a", 1, "unknown statement 'frobnicate'"),
+    ("frobnicate %", 12, "unexpected character '%'"),
+    ("%foo", 1, "expected a statement"),
+    ("represent", 10, "expected a file path"),
+    ("represent   # c", 10, "expected a file path"),
+    ("verify", 7, "expected a suite name"),
+    ("verify -x", 8, "expected a suite name"),
+    ("verify ring x", 13, "unexpected input after the suite name"),
+    ("verify series-", 14, "unexpected input after the suite name"),
+    ("context K=9", 12, "context needs m=<arity>"),
+    ('reduce "6"', 11, 'reduce needs r="<relator series>"'),
+    ("conjugate a L=4", 16, "conjugate needs j=<shift>"),
+    ("context m=2 m=3", 13, "option 'm' given twice"),
+    ("zeta a L=3 L=4", 12, "option 'L' given twice"),
+    ("portrait a depth=3", 12, "unknown option 'depth' (allowed: L)"),
+    ("conjugate a k=1", 13, "unknown option 'k' (allowed: L, j)"),
+    ("context 5", 9, "expected an option name, found '5'"),
+    ("context m", 10, "expected ="),
+    ("portrait a L=x", 14, "expected an integer value, found 'x'"),
+    ("present a depth=x", 17, "expected an integer value, found 'x'"),
+    ('reduce "6" r=2', 14, "expected a quoted value, found '2'"),
+    ("portrait a b", 13, "too many words (at most 1)"),
+    ("order L=3", 7, "expected a word"),
+    ("closure", 8, "expected a word"),
+    ("order a %", 9, "unexpected character '%'"),
+    ("portrait a^x", 12, "expected an integer or {series} after '^'"),
+    ("portrait a@-1", 12, "shift must not be negative"),
+    ("let x = a b", 11, "unexpected input after the word"),
+    ("let 1 = a", 5, "expected a name, found '1'"),
+    ("let x a", 7, "expected =, found 'a'"),
+    ("act a 1.2 3", 11, "unexpected input after the vertex"),
+    ("act a", 6, "expected a vertex letter"),
+    ("act a 0.1", 10, "vertex letters count from 1"),
+    ('reduce 6 r="x"', 8, "expected a quoted series, found '6'"),
+    ("conjugate 1 j=1", 11, "expected a generator name, found '1'"),
+    ("gen 1", 5, "expected a generator name, found '1'"),
+    ("gen a = (e,", 12, "unterminated entry list"),
+    ("gen a = (e, a", 14, "expected ',' or ')'"),
+    ("gen a = (e, a) (1 2", 20, "expected a letter or ')'"),
+    ("gen a = (e, a) ()", 18, "empty cycle"),
+    ("gen a = (e, a) (1 2) x", 22,
+     "unexpected input after the generator definition"),
+]
+
+
+@pytest.mark.parametrize("text,col,message", PARSE_ERRORS,
+                         ids=[text for text, _, _ in PARSE_ERRORS])
+def test_parse_error_positions(text, col, message):
     with pytest.raises(CliParseError) as info:
-        parse_statement(4, "gen a = (e, a) (1 2")
-    assert info.value.line == 4
-    assert info.value.col == 20
-    with pytest.raises(CliParseError) as info:
-        parse_statement(2, "portrait a L=x")
-    assert info.value.col == 14
-    with pytest.raises(CliParseError) as info:
-        parse_statement(1, "order a %")
-    assert info.value.col == 9
-    with pytest.raises(CliParseError):
-        parse_statement(1, "frobnicate a")
+        parse_statement(4, text)
+    assert (info.value.line, info.value.col, info.value.message) == (
+        4, col, message)
 
 
 def test_parse_rejects_unknown_option():
@@ -113,6 +154,90 @@ def test_format_parse_roundtrip():
 
     assert strip(first) == strip(second)
     assert format_statement(first[1]) == "gen a = (e, e, e, a^{2}) (1 2 3 4)"
+
+
+# Strategies for syntactically valid statements, derived from the
+# statement table: one per field kind and option type.  Names avoid a bare
+# "e", which a gen entry reads as the identity.
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True).filter(
+    lambda name: name != "e")
+QUOTED = st.text(alphabet="0123456789x+-*^ #", max_size=6)
+
+
+@st.composite
+def factors(draw):
+    power = draw(st.none() | st.integers(-20, 20))
+    series = None if power is not None else draw(
+        st.none() | st.text(alphabet="0123456789x+-*^ ", max_size=6).map(
+            str.strip))
+    return {"name": draw(NAMES), "power": power, "series": series,
+            "shift": draw(st.none() | st.integers(0, 12))}
+
+
+WORDS = st.lists(factors(), min_size=1, max_size=3)
+FIELD_VALUES = {
+    "word": WORDS, "one word": WORDS,
+    "words": st.lists(WORDS, min_size=1, max_size=3),
+    "vertex": st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    "name": NAMES, "quoted": QUOTED, "=": st.none(), "end": st.none(),
+    "entries": st.lists(st.none() | WORDS, min_size=1, max_size=3),
+    "cycles": st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+                       max_size=2),
+    "path": st.from_regex(r"[A-Za-z0-9_./-]+( [A-Za-z0-9_./-]+)?",
+                          fullmatch=True),
+    "suite": st.from_regex(r"[A-Za-z_][A-Za-z_0-9]*(-[A-Za-z_0-9]+)*",
+                           fullmatch=True),
+}
+OPTION_VALUES = {int: st.integers(-50, 50), str: QUOTED}
+
+
+@st.composite
+def statements(draw, head):
+    """A parsed statement of one head: every field of its table row, its
+    required option and any of its other options."""
+    row = cli._STATEMENTS[head]
+    stmt = {"kind": head, "line": 1}
+    for key, kind, _ in row.fields:
+        if key is not None:
+            stmt[key] = draw(FIELD_VALUES[kind])
+    if row.options:
+        required = row.required[0] if row.required else None
+        stmt["kv"] = {key: draw(OPTION_VALUES[typ])
+                      for key, typ in row.options.items()
+                      if key == required or draw(st.booleans())}
+    return stmt
+
+
+def test_every_field_kind_has_a_strategy():
+    assert set(FIELD_VALUES) == set(cli._FIELDS)
+
+
+@pytest.mark.parametrize("head", sorted(cli._STATEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_statement_round_trips(head, data):
+    stmt = data.draw(statements(head))
+    text = format_statement(stmt)
+    assert parse_statement(7, text) == dict(stmt, line=7), text
+
+
+def test_statement_table_matches_the_session_and_formatters():
+    # a new statement is one table row plus one Session._cmd_<head> method
+    commands = {name[len("_cmd_"):] for name in dir(cli.Session)
+                if name.startswith("_cmd_")}
+    assert set(cli._STATEMENTS) == commands
+    silent = {head for head, row in cli._STATEMENTS.items()
+              if row.pretty is None}
+    assert silent == {"context", "gen", "let"}   # they print no row
+
+
+def test_every_statement_is_documented():
+    # in `selfsim run --help` (the module docstring) and in the README
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("### Script language", 1)[1].split("```text", 1)[1]
+    for text in (cli.__doc__, block.split("```", 1)[0]):
+        heads = {line.split()[0] for line in text.splitlines() if line.strip()}
+        assert set(cli._STATEMENTS) <= heads
 
 
 # ---------------------------------------------------------------- commands
@@ -257,12 +382,15 @@ def test_represent_rejects_malformed_triples(tmp_path, capsys, data, message):
     assert err == "%s:1: %s\n" % (script, message)
 
 
-def test_represent_rejects_a_huge_free_rank_quickly(tmp_path, capsys):
+@pytest.mark.parametrize("torsion", [[], [2]], ids=["free", "torsion"])
+def test_represent_rejects_a_huge_free_rank_quickly(tmp_path, capsys,
+                                                     torsion):
     # no H generator spans a free rank of 10^12, and saying so takes no
-    # time that grows with the rank
+    # time or memory that grows with the rank, torsion rows included
     triple = tmp_path / "triple.json"
-    triple.write_text(json.dumps({"free_rank": 10 ** 12, "H_gens": [],
-                                  "f_images": [], "transversal": []}))
+    triple.write_text(json.dumps({"free_rank": 10 ** 12, "torsion": torsion,
+                                  "H_gens": [], "f_images": [],
+                                  "transversal": []}))
     script = write_script(tmp_path, "represent %s" % triple)
     code, out, err = run_cli(["run", script], capsys)
     assert code == 4
