@@ -216,14 +216,15 @@ def _parse_words(p, at_most=None):
 
 
 def _parse_vertex(p):
-    letters = [int(p.expect("int", what="a vertex letter").value)]
-    while p.at_sym("."):
+    letters = []
+    while True:
+        tok = p.expect("int", what="a vertex letter")
+        if int(tok.value) < 1:
+            p.error("vertex letters count from 1", tok)
+        letters.append(int(tok.value))
+        if not p.at_sym("."):
+            return letters
         p.next()
-        letters.append(int(p.expect("int", what="a vertex letter").value))
-    for letter in letters:
-        if letter < 1:
-            p.error("vertex letters count from 1")
-    return letters
 
 
 def _parse_kv(p, allowed):

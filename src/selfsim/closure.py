@@ -85,15 +85,16 @@ def _fold_key(system, coeffs, depth):
 
 
 def _fold_walk(system, seeds, depth, overflow):
-    """The exponents of a fold closure's states: the seeds (canonical,
-    D + 1 coefficients each), then the children of each kept one in turn,
-    one per _fold_key; more than ENUM_CAP raise SaturationOverflow(overflow).
+    """(kept, firsts): the exponents of a fold closure's states, the seeds
+    (canonical, D + 1 coefficients each) first, then the children of each
+    kept one in turn, one per _fold_key, and the indices of the seeds kept;
+    more than ENUM_CAP raise SaturationOverflow(overflow).
 
     A child's key is phi(P[c][y]) + xi*phi(qsum) + phi(Q') (the child
-    formula of FoldSystem._exponent_child): the first term is tabled once
-    per walk and phi(Q') is one dot product per form, shared by the m
-    children, whose tuples are built only for new keys, from one base
-    qsum*xi + Q'.  Tuples are carried at width W, 1 + the top nonzero
+    formula of FoldSystem._exponent_child): the first two terms are read
+    from child_key_table and phi(Q') is one dot product per form, shared
+    by the m children, whose tuples are built only for new keys, from one
+    base qsum*xi + Q'.  Tuples are carried at width W, 1 + the top nonzero
     degree among the P[c][y], qsum and the seeds (the seeds are cut, and
     zip cuts the base): every term of a child's coefficient of degree
     j >= W is 0 (Q_W = 0 by induction), so a kept tuple is the full one
@@ -103,21 +104,18 @@ def _fold_walk(system, seeds, depth, overflow):
     m, mK = system.ctx.m, system._mK
     degrees = zip(system._qsum, *seeds, *itertools.chain(*system._prefix))
     width = 1 + max([j for j, d in enumerate(degrees) if any(d)], default=0)
-    prefix, qsum = system._prefix, system._qsum
-    table = [list(zip(*[_form_values(forms, p) for p in row]))
-             for row in prefix]
-    qvals = _form_values(forms, qsum)
-    raised = [(0,) + f for f in forms]
+    _, prefix, table, qvals, raised = system.child_key_table(depth)
+    qsum = system._qsum
     one = len(forms) == 1
     if one:
         (a,), (f,) = qvals, raised
         cols = [col for col, in table]
-    kept = []
-    seen = set()
-    for q in seeds:
+    kept, firsts, seen = [], [], set()
+    for i, q in enumerate(seeds):
         k = _fold_key(system, q, depth)
         if k not in seen:
             seen.add(k)
+            firsts.append(i)
             kept.append(q[:width])
     for q in kept:
         if len(kept) > ENUM_CAP:
@@ -139,7 +137,7 @@ def _fold_walk(system, seeds, depth, overflow):
                 kept.append(tuple([(p + t) % mK for p, t in zip(row, base)]))
     if len(kept) > ENUM_CAP:
         raise SaturationOverflow(overflow)
-    return kept
+    return kept, firsts
 
 
 def _built(items, key=None):
@@ -440,15 +438,11 @@ def state_closure(generators, depth=None):
             # their generators have 3 and 4 states to depth 1
             raise ContextError("need K >= 2 for a fold state closure")
         exponents = [system._exponent(g.word) for g in seeds]
-        kept = _fold_walk(system, exponents, depth, overflow)
-        # the walk keeps the seeds first, each unless an earlier one had its
-        # key; those states stay the expressions as they were passed
-        given = {}
-        for g, q in zip(seeds, exponents):
-            given.setdefault(_fold_key(system, q, depth), g)
+        kept, firsts = _fold_walk(system, exponents, depth, overflow)
+        # the seeds the walk keeps stay the expressions as they were passed
         pad = (0,) * (ctx.D + 1 - len(kept[0]))
-        states = list(given.values()) + [AutExpr(system, (
-            (system.name, q + pad),)) for q in kept[len(given):]]
+        states = [seeds[i] for i in firsts] + [AutExpr(system, (
+            (system.name, q + pad),)) for q in kept[len(firsts):]]
         if len(states) <= SPOT_CHECK_CAP:
             # the linear keys promise pairwise distinctness; spot-check it
             # on word-path portraits, raising at the first state of a seen

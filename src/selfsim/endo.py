@@ -19,13 +19,13 @@ beta h == h target is checked node pair by node pair.
 """
 
 from math import gcd
-from operator import mul
+from operator import add
 
-from .adic import NonUnit, PowerSeries
+from .adic import Memo, NonUnit, PowerSeries
 from .intlin import lattice_index, left_kernel, solve_left
 from .tree import (
-    Context, ContextError, FoldSystem, Permutation, Portrait, ShapeMismatch,
-    System, _products_equal, adding_machine,
+    Context, ContextError, FoldSystem, Permutation, ShapeMismatch, System,
+    _form_columns, _products_equal, adding_machine,
 )
 
 
@@ -397,36 +397,27 @@ def _conjugator_portrait(system, factors, step, relabel, depth):
     exponent child_z(E), plus factors[n][(z)sigma^c - 1] when k = n step.
     The walk starts from E = 0 at level 0.  g^E below level k is read to
     depth - k <= L <= K, so two exponents with equal key_table(depth - k)
-    values give one node (FoldSystem._portrait), and the memo is keyed by
-    (k, those values).
+    values give one node (FoldSystem._portrait): FoldSystem._keyed_node
+    makes it under (depth - k, those values) in a memo local to the call,
+    with the stage's offsets added to child_key_table's prefix sums.
     """
-    m, mK = system.ctx.m, system._mK
     offsets = [tuple(f.lifts() for f in stage) for stage in factors]
-    tables = [system.key_table(depth - k) for k in range(depth)]
-    roots = [turn * relabel for turn in system._sigma_powers]
-    memo = {}
-
-    def node(exps, k):
-        forms, M = tables[k]
-        key = (k,) + tuple([sum(map(mul, exps, f)) % M for f in forms])
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        c, _, child = system._exponent_child(exps)
-        kids = ()
-        if k < depth - 1:
-            n, r = divmod(k, step)
-            kids = [child(z) for z in range(m)]
-            if r == 0:
-                turn = system._sigma_powers[c].images
-                kids = [tuple([(a + b) % mK for a, b in
-                               zip(e, offsets[n][y - 1])])
-                        for e, y in zip(kids, turn)]
-            kids = tuple([node(e, k + 1) for e in kids])
-        memo[key] = out = Portrait.make(roots[c], kids)
-        return out
-
-    return node((0,) * (system.ctx.D + 1), 0)
+    tables = {}
+    for k in range(depth - 1):
+        n = depth - k - 1
+        tables[n] = system.child_key_table(n)
+        if k % step == 0:
+            M, prefix, _, qvals, raised = tables[n]
+            rows = [[tuple(map(add, row, offsets[k // step][y - 1]))
+                     for row, y in zip(by_c, turn.images)]
+                    for by_c, turn in zip(prefix, system._sigma_powers)]
+            tables[n] = (M, rows, _form_columns(rows, system.key_table(n)[0]),
+                         qvals, raised)
+    key = (depth,) + (0,) * len(system.key_table(depth)[0])
+    return system._keyed_node(
+        (0,) * (system.ctx.D + 1), depth, key, tables.__getitem__,
+        [turn * relabel for turn in system._sigma_powers],
+        Memo(system.ctx.cache_cap))
 
 
 def closed_form_sequences(q, n_max):

@@ -31,7 +31,7 @@ most m^d classes per depth, not the number of exponent words.
 import os
 import re
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .adic import MAdicInt, Memo, Modulus, PowerSeries
 
@@ -181,26 +181,40 @@ class Permutation(object):
         return "".join("(%s)" % " ".join(str(a) for a in c) for c in cycs)
 
 
-def _perm_tuple_pow(tup, n):
-    """Power of a 0-based permutation tuple via cycle decomposition."""
-    size = len(tup)
-    out = [0] * size
-    seen = [False] * size
-    for start in range(size):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = tup[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = tup[nxt]
-        ln = len(cyc)
-        shift = n % ln
-        for i, a in enumerate(cyc):
-            out[a] = cyc[(i + shift) % ln]
-    return tuple(out)
+def _cycle_powers(tup):
+    """power(e), the e-th power of a 0-based permutation tuple.  Its cycles
+    are stored column by column per cycle length, so power(e) shifts the
+    columns of each length n by e mod n (two slices) and gathers once."""
+    where = [None] * len(tup)   # marks the points seen, then positions
+    by_length = {}
+    for start, nxt in enumerate(tup):
+        if where[start] is None:
+            where[start] = 0
+            cyc = [start]
+            while nxt != start:
+                where[nxt] = 0
+                cyc.append(nxt)
+                nxt = tup[nxt]
+            by_length.setdefault(len(cyc), []).append(cyc)
+    groups = [(n, len(cycs), cycs[0] if len(cycs) == 1 else
+               [a for col in zip(*cycs) for a in col])
+              for n, cycs in by_length.items()]
+    for i, a in enumerate([a for _, _, flat in groups for a in flat]):
+        where[a] = i
+    gather = itemgetter(*where)
+
+    def power(e):
+        images = []
+        for n, count, flat in groups:
+            images += flat[e % n * count:] + flat[:e % n * count]
+        return gather(images)
+    return power
+
+
+def _form_columns(rows, forms):
+    """For each c, one tuple per form of its values at the rows[c][y]."""
+    return tuple([tuple(zip(*[[sum(map(mul, row, f)) for f in forms]
+                              for row in by_c])) for by_c in rows])
 
 
 # ----------------------------------------------------------------- context
@@ -1077,6 +1091,7 @@ class FoldSystem(System):
         self._annihilator = PowerSeries(
             ctx.mod, ctx.D, [ctx.m] + [-v for v in self._qsum[:ctx.D]])
         self._key_tables = Memo(ctx.K)   # n -> (key_forms(n), m^n)
+        self._child_tables = Memo(ctx.K)   # n -> child_key_table(n)
         entry_words = []
         for lifts in self._plifts:
             entry_words.append(
@@ -1196,6 +1211,20 @@ class FoldSystem(System):
             return hit
         return self._key_tables.put(n, (self.key_forms(n), self.ctx.m ** n))
 
+    def child_key_table(self, n):
+        """(m^n, P, cols, qvals, raised), built on first use per depth:
+        P the prefix sums, and the unreduced values of key_forms(n) at
+        P[c][y] (cols[c][i][y] for form i) and at qsum; raised[i] is
+        (0,) + form i, whose value at Q is form i at Q shifted down."""
+        hit = self._child_tables.get(n)
+        if hit is not None:
+            return hit
+        forms, M = self.key_table(n)
+        return self._child_tables.put(n, (
+            M, self._prefix, _form_columns(self._prefix, forms),
+            tuple([sum(map(mul, self._qsum, f)) for f in forms]),
+            tuple([(0,) + f for f in forms])))
+
     def _exponent(self, word):
         """The exponent coefficients of a word (zeros for the identity)."""
         word = self._normalize(word)
@@ -1216,11 +1245,6 @@ class FoldSystem(System):
         return c, xi, lambda y: tuple([(p + s * xi + t) % mK for p, s, t in
                                        zip(rows[y], qsum, tail)])
 
-    def _exponent_children(self, coeffs):
-        """(c, child exponents) of g^coeffs, all m (atoms need every one)."""
-        c, _, child = self._exponent_child(coeffs)
-        return c, tuple(map(child, range(self.ctx.m)))
-
     def _atom_decompose(self, atom):
         hit = self._atom_memo.get(atom)
         if hit is not None:
@@ -1228,10 +1252,10 @@ class FoldSystem(System):
         name, coeffs = atom
         if name != self.name:
             raise KeyError("undefined generator %r" % name)
-        c, kids = self._exponent_children(coeffs)
-        return self._atom_memo.put(atom, (
-            self._sigma_powers[c],
-            tuple(((name, q),) if any(q) else () for q in kids)))
+        c, _, child = self._exponent_child(coeffs)
+        kids = map(child, range(self.ctx.m))
+        return self._atom_memo.put(atom, (self._sigma_powers[c], tuple(
+            ((name, q),) if any(q) else () for q in kids)))
 
     def _portrait(self, word, depth):
         """The depth-d portrait of g^Q, memoized by the linear key of Q.
@@ -1247,19 +1271,42 @@ class FoldSystem(System):
         keep their word keys, so the closure's DedupeCollision check stays
         independent of this key.
         """
-        return self._exponent_portrait(self._exponent(word), depth)
-
-    def _exponent_portrait(self, coeffs, depth):
+        coeffs = self._exponent(word)
         forms, M = self.key_table(depth)
         key = (depth,) + tuple([sum(map(mul, coeffs, f)) % M for f in forms])
-        hit = self._portrait_memo.get(key)
-        if hit is not None:
-            return hit
-        c, kids = self._exponent_children(coeffs)
-        kids = () if depth == 1 else tuple([
-            self._exponent_portrait(q, depth - 1) for q in kids])
-        return self._portrait_memo.put(
-            key, Portrait.make(self._sigma_powers[c], kids))
+        return self._portrait_memo.get(key) or self._keyed_node(
+            coeffs, depth, key, self.child_key_table, self._sigma_powers,
+            self._portrait_memo)
+
+    def _keyed_node(self, coeffs, d, key, table, roots, memo):
+        """The depth-d node of g^coeffs, whose key is not in memo, put there.
+
+        Its root is roots[c] and its child at y has exponent (rows[c][y] +
+        qsum*xi + Q') mod m^K, coeffs[0] = c + m*xi, with table(d - 1) =
+        (M, rows, cols, qvals, raised) as in child_key_table.  The forms
+        are linear, so that child's key values are cols[c][i][y] + b_i mod
+        M, b_i = xi*qvals[i] + raised[i] at coeffs, one sum per node; a
+        child's exponent is built, and recursed on, only if its key misses.
+        """
+        xi, c = divmod(coeffs[0], self.ctx.m)
+        kids = []
+        if d > 1:
+            M, rows, cols, qvals, raised = table(d - 1)
+            shifts = [xi * a + sum(map(mul, coeffs, f))
+                      for a, f in zip(qvals, raised)]
+            base = None
+            for row, *vals in zip(rows[c], *[[(v + b) % M for v in col] for
+                                             col, b in zip(cols[c], shifts)]):
+                k = (d - 1, *vals)
+                node = memo.get(k)
+                if node is None:
+                    base = base or [s * xi + t for s, t in
+                                    zip(self._qsum, coeffs[1:] + (0,))]
+                    node = self._keyed_node(
+                        tuple([(p + t) % self._mK for p, t in zip(row, base)]),
+                        d - 1, k, table, roots, memo)
+                kids.append(node)
+        return memo.put(key, Portrait.make(roots[c], tuple(kids)))
 
     def _pow_series(self, expr, q):
         # exponents of one abelian generator multiply straight through
@@ -1288,31 +1335,31 @@ class FoldSystem(System):
 
         Each (letter, degree) term acts on a block through one lift table,
         whose entry at u + v (u a multiple of the width m^(l-1-d), v below
-        it) is u + piece[v]; the terms compose by gathering through those
-        tables, starting from the first nonzero term.
+        it) is u + piece[v], the power taken from the cycles of the lower
+        level, found once per call (_cycle_powers); the terms compose by
+        itemgetter gathers through those tables, from the first nonzero one.
         """
         if l < 1:
             raise DepthExceeded("level must be at least 1")
         m = self.ctx.m
-        sig = [None, tuple([i - 1 for i in self.sigma.images])]
+        out = [i - 1 for i in self.sigma.images]
+        powers = [None]
         for lev in range(2, l + 1):
+            powers.append(_cycle_powers(out))
             block = m ** (lev - 1)
             out = []
             for p_y, y in zip(self._plifts, self.sigma.images):
                 ty = None
                 for d, p in enumerate(p_y[:lev - 1]):
-                    sub = lev - 1 - d
-                    width = m ** sub
-                    e = p % width
-                    if e == 0:
-                        continue
-                    piece = _perm_tuple_pow(sig[sub], e)
-                    lift = [u + v for u in range(0, block, width) for v in piece]
-                    ty = lift if ty is None else [lift[t] for t in ty]
+                    width = m ** (lev - 1 - d)
+                    if p % width:
+                        piece = powers[lev - 1 - d](p % width)
+                        lift = piece if width == block else [
+                            u + v for u in range(0, block, width) for v in piece]
+                        ty = lift if ty is None else itemgetter(*ty)(lift)
                 tbase = (y - 1) * block
                 out += [tbase + t for t in (range(block) if ty is None else ty)]
-            sig.append(out)
-        return Permutation._derived(tuple([i + 1 for i in sig[l]]))
+        return Permutation._derived(tuple([i + 1 for i in out]))
 
 
 def level_perm_fast(gen_expr, l):

@@ -105,7 +105,8 @@ PARSE_ERRORS = [
     ("let x a", 7, "expected =, found 'a'"),
     ("act a 1.2 3", 11, "unexpected input after the vertex"),
     ("act a", 6, "expected a vertex letter"),
-    ("act a 0.1", 10, "vertex letters count from 1"),
+    ("act a 0.1", 7, "vertex letters count from 1"),
+    ("act a 1.0", 9, "vertex letters count from 1"),
     ('reduce 6 r="x"', 8, "expected a quoted series, found '6'"),
     ("conjugate 1 j=1", 11, "expected a generator name, found '1'"),
     ("gen 1", 5, "expected a generator name, found '1'"),

@@ -21,6 +21,8 @@ from selfsim.endo import (
     adding_machine_conjugator, transversal_change, triple_from_json,
 )
 
+from test_fold_keys import dag_nodes
+
 
 # ------------------------------------------------------ integer lattice work
 
@@ -409,6 +411,24 @@ def test_keyed_recursion_matches_left_fold(m, j, depth, seed, invert):
     res = adding_machine_conjugator(beta, j, depth=depth)
     assert res.conjugator is stage_product_conjugator(beta, res)
     assert res.verified() == conjugates_by_products(beta, res)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 4), j=st.integers(1, 3), depth=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_conjugator_recurses_once_per_new_memo_entry(m, j, depth, seed):
+    # the memo is local to the call and a node is made only for a key it
+    # misses, so there is one call per distinct node of the conjugator
+    beta = random_fold(random.Random(seed), m, j,
+                       Context(m, K=10, D=10, L=10))
+    res = adding_machine_conjugator(beta, j, depth=depth)
+    system = beta.system
+    with mock.patch.object(system, "_keyed_node",
+                           wraps=system._keyed_node) as spy:
+        conj = endo._conjugator_portrait(system, list(res.factors), j,
+                                         res.relabel, depth)
+    assert conj is res.conjugator
+    assert spy.call_count == len(dag_nodes(conj))
 
 
 def test_closed_form_matches_left_fold():

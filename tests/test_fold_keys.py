@@ -20,6 +20,7 @@ memoized by the same linear key; their oracle is the word-memo expansion
 
 import itertools
 import types
+from unittest import mock
 from math import gcd
 from operator import mul
 
@@ -300,7 +301,8 @@ def test_derived_child_keys_are_the_keys_of_the_built_children(
     system, depth = case
     depth = min(depth, system.ctx.L)
     q = data.draw(exponents(system))
-    c, kids = system._exponent_children(q)
+    _, _, child = system._exponent_child(q)
+    kids = [child(y) for y in range(system.ctx.m)]
     keys, build = oracle_children(system, depth)(q)
     keys = list(keys)
     assert len(keys) == system.ctx.m
@@ -377,6 +379,40 @@ def keyed_portraits(system, samples):
     return ([system._portrait((("g", q),), d)
              for q in samples for d in range(L, 0, -1)],
             [g.portrait(l).level_perm(l) for l in range(1, L + 1)])
+
+
+def dag_nodes(portrait):
+    """The distinct nodes of a portrait's DAG."""
+    nodes, stack = set(), [portrait]
+    while stack:
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(node.children)
+    return nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(keyed_systems(), st.data())
+def test_keyed_portraits_recurse_once_per_new_memo_entry(case, data):
+    # each child's key comes from its parent's, and _keyed_node is entered
+    # only for a key the memo misses, so every call adds one entry; from an
+    # empty memo, the first portrait's entries are its distinct nodes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("SELFSIM_CACHE", raising=False)
+        system = rebuilt(case[0])
+        spy = mock.Mock(wraps=system._keyed_node)
+        patch.setattr(system, "_keyed_node", spy)
+        samples = data.draw(st.lists(exponents(system), min_size=1,
+                                     max_size=4))
+        for i, q in enumerate(samples):
+            calls, size = spy.call_count, len(system._portrait_memo)
+            node = system._portrait((("g", q),), data.draw(
+                st.integers(1, system.ctx.L)))
+            made = len(system._portrait_memo) - size
+            assert spy.call_count - calls == made
+            if i == 0:
+                assert made == len(dag_nodes(node))
 
 
 @settings(max_examples=60, deadline=None)

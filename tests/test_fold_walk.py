@@ -214,7 +214,8 @@ def test_states_match_the_word_walk(case):
 @given(fold_systems(), st.data())
 def test_exponent_children_match_the_cycle_walk(system, data):
     coeffs = data.draw(exponents(system))
-    assert system._exponent_children(coeffs) == cycle_walk_children(
+    c, _, child = system._exponent_child(coeffs)
+    assert (c, tuple(map(child, range(system.ctx.m)))) == cycle_walk_children(
         system, coeffs)
 
 
@@ -285,11 +286,20 @@ def padded(system, kept):
     return [q + (0,) * (system.ctx.D + 1 - len(q)) for q in kept]
 
 
+def fold_walk(system, seeds, depth, overflow):
+    """The exponents closure._fold_walk keeps, once the seed indices it
+    reports are checked to name the seeds it keeps first, in order."""
+    kept, firsts = closure._fold_walk(system, seeds, depth, overflow)
+    assert firsts == sorted(set(firsts))
+    assert [seeds[i][:len(kept[0])] for i in firsts] == kept[:len(firsts)]
+    return kept
+
+
 def walk_both(system, seeds, depth):
     """(outcome of _fold_walk, outcome of oracle_walk): each the kept
     exponents, or the SaturationOverflow message."""
     out = []
-    for walk in (closure._fold_walk, oracle_walk):
+    for walk in (fold_walk, oracle_walk):
         try:
             out.append(walk(system, seeds, depth, "over %d" % depth))
         except SaturationOverflow as exc:
@@ -341,7 +351,7 @@ def test_states_walked_from_a_trimmed_seed_are_canonical_words(p, cycle,
         assert report.to_json()["states"] == [repr(s) for s in oracle]
         assert all(len(coeffs) == system.ctx.D + 1
                    for s in report.states for _, coeffs in s.word)
-        kept = closure._fold_walk(system, [
+        kept = fold_walk(system, [
             system._exponent(g.word) for g in [system.identity()] + gens],
             depth, "")
         assert len(kept[0]) < system.ctx.D + 1

@@ -117,7 +117,8 @@ def reached_from(calls, start):
     return reached
 
 
-KEYED = ("key_forms", "key_table", "_portrait", "_exponent_portrait")
+KEYED = ("key_forms", "key_table", "child_key_table", "_portrait",
+         "_keyed_node")
 
 
 def test_word_expansion_never_reaches_the_portrait_key():

@@ -2,20 +2,48 @@
 
 `Portrait.level_perm` computes the images below each distinct DAG node
 once per call and appends each child block with one comprehension;
-`FoldSystem.level_perm_fast` applies each (letter, degree) term of the
-digit recursion through one lift table.  The oracles kept here are the
-per-vertex loops they replaced, which walk every vertex of the level and,
-for the portrait, every shared node again at each vertex above it.
+`FoldSystem.level_perm_fast` finds the cycles of each lower level once per
+call, takes each power of it from slices of those cycles and one gather,
+and applies each (letter, degree) term of the digit recursion through one
+lift table.  The oracles kept here are the per-vertex loops they replaced,
+which walk every vertex of the level and, for the portrait, every shared
+node again at each vertex above it; the fast recursion's oracle takes
+each power by walking the cycles one point at a time (`_perm_tuple_pow`).
+Its draws reach m = 5, and half of them have a non-unit q(0), so their
+level permutations from level 2 on have several cycles.
 Products, inverses, powers, identities and both level permutations build
 their images without the bijection check; each must give images that the
 validating constructor accepts, equal to what the checked loops give.
 """
 
+from math import gcd
+
 from hypothesis import given, settings, strategies as st
 
-from selfsim.tree import Permutation, Portrait, _perm_tuple_pow
+from selfsim.adic import PowerSeries
+from selfsim.tree import Context, FoldSystem, Permutation, Portrait
 
-from test_fold_keys import fold_systems
+
+def _perm_tuple_pow(tup, n):
+    """Power of a 0-based permutation tuple via cycle decomposition."""
+    size = len(tup)
+    out = [0] * size
+    seen = [False] * size
+    for start in range(size):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = tup[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = tup[nxt]
+        ln = len(cyc)
+        shift = n % ln
+        for i, a in enumerate(cyc):
+            out[a] = cyc[(i + shift) % ln]
+    return tuple(out)
 
 
 def level_perm_loop(portrait, l):
@@ -109,19 +137,42 @@ def test_portrait_level_perm_matches_the_vertex_loop(portrait):
         assert validated(got) == got == level_perm_loop(portrait, l)
 
 
-@settings(max_examples=60, deadline=None)
-@given(fold_systems())
+@st.composite
+def level_systems(draw):
+    """A fold system over m in 2..5 with exponents of degree below 6.
+    When the drawn flag is set, q(0) = p_1(0) + ... + p_m(0) is a multiple
+    of a prime of m, a non-unit, so the level-2 permutation, whose blocks
+    g^m moves by q(0), is not one cycle."""
+    m = draw(st.integers(2, 5))
+    ctx = Context(m, K=7, D=6, L=draw(st.integers(1, 6 if m < 5 else 5)))
+    cycle = [1] + draw(st.permutations(range(2, m + 1)))
+    exps = [draw(st.lists(st.integers(-m * m, m * m), max_size=6))
+            for _ in range(m)]
+    if draw(st.booleans()):
+        p = next(p for p in range(2, m + 1) if m % p == 0)
+        exps[-1] = (exps[-1] or [0])[:]
+        exps[-1][0] += draw(st.integers(0, m // p - 1)) * p - sum(
+            e[0] for e in exps if e)
+    return FoldSystem(ctx, "g", [PowerSeries(ctx.mod, ctx.D, e) for e in exps],
+                      Permutation.from_cycles([cycle], m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_systems())
 def test_level_perm_fast_matches_the_vertex_loop(system):
-    # fold_systems draws m in 2..4 and depth 1..6; the digit recursion does
-    # not read the depth bound, so every level up to 6 is checked
+    # the digit recursion does not read the depth bound, so every level up
+    # to 6 (5 at m = 5) is checked, and the portrait's up to L
     g = system.generator()
-    for l in range(1, 7):
+    m = system.ctx.m
+    for l in range(1, 7 if m < 5 else 6):
         got = system.level_perm_fast(l)
         assert validated(got) == got == level_perm_fast_loop(system, l)
         if l <= system.ctx.L:
             portrait = g.portrait(l)
             assert got == portrait.level_perm(l) == level_perm_loop(
                 portrait, l)
+    if gcd(system._qsum[0], m) > 1:
+        assert not system.level_perm_fast(2).is_full_cycle()
 
 
 @settings(max_examples=200, deadline=None)
