@@ -9,8 +9,9 @@ lift table.  The oracles kept here are the per-vertex loops they replaced,
 which walk every vertex of the level and, for the portrait, every shared
 node again at each vertex above it; the fast recursion's oracle takes
 each power by walking the cycles one point at a time (`_perm_tuple_pow`).
-Its draws reach m = 5, and half of them have a non-unit q(0), so their
-level permutations from level 2 on have several cycles.
+Its draws reach m = 5, and about half of them are made with a non-unit
+q(0), so that their level permutations from level 2 on have several
+cycles.
 Products, inverses, powers, identities and both level permutations build
 their images without the bijection check; each must give images that the
 validating constructor accepts, equal to what the checked loops give.
