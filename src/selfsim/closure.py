@@ -34,7 +34,7 @@ from operator import mul
 from .adic import PowerSeries
 from .tree import (
     AutExpr, Context, ContextError, NotAbelian, Permutation, Portrait,
-    ShapeMismatch, System,
+    ShapeMismatch, System, _form_columns,
 )
 
 ENUM_CAP = 10000
@@ -91,10 +91,10 @@ def _fold_walk(system, seeds, depth, overflow):
     more than ENUM_CAP raise SaturationOverflow(overflow).
 
     A child's key is phi(P[c][y]) + xi*phi(qsum) + phi(Q') (the child
-    formula of FoldSystem._exponent_child): the first two terms are read
-    from child_key_table and phi(Q') is one dot product per form, shared
-    by the m children, whose tuples are built only for new keys, from one
-    base qsum*xi + Q'.  Tuples are carried at width W, 1 + the top nonzero
+    formula of FoldSystem._exponent_child): the first term is tabled once
+    per walk and phi(Q') is one dot product per form, shared by the m
+    children, whose tuples are built only for new keys, from one base
+    qsum*xi + Q'.  Tuples are carried at width W, 1 + the top nonzero
     degree among the P[c][y], qsum and the seeds (the seeds are cut, and
     zip cuts the base): every term of a child's coefficient of degree
     j >= W is 0 (Q_W = 0 by induction), so a kept tuple is the full one
@@ -104,8 +104,10 @@ def _fold_walk(system, seeds, depth, overflow):
     m, mK = system.ctx.m, system._mK
     degrees = zip(system._qsum, *seeds, *itertools.chain(*system._prefix))
     width = 1 + max([j for j, d in enumerate(degrees) if any(d)], default=0)
-    _, prefix, table, qvals, raised = system.child_key_table(depth)
-    qsum = system._qsum
+    prefix, qsum = system._prefix, system._qsum
+    table = _form_columns(prefix, forms, M)
+    qvals = _form_values(forms, qsum)
+    raised = [(0,) + f for f in forms]
     one = len(forms) == 1
     if one:
         (a,), (f,) = qvals, raised

@@ -399,7 +399,9 @@ def _conjugator_portrait(system, factors, step, relabel, depth):
     depth - k <= L <= K, so two exponents with equal key_table(depth - k)
     values give one node (FoldSystem._portrait): FoldSystem._keyed_node
     makes it under (depth - k, those values) in a memo local to the call,
-    with the stage's offsets added to child_key_table's prefix sums.
+    with the stage's offsets added to child_key_table's prefix sums.  That
+    memo holds one entry per node, fewer than the m^depth it may hold
+    before it empties, so no node is made twice.
     """
     offsets = [tuple(f.lifts() for f in stage) for stage in factors]
     tables = {}
@@ -411,13 +413,13 @@ def _conjugator_portrait(system, factors, step, relabel, depth):
             rows = [[tuple(map(add, row, offsets[k // step][y - 1]))
                      for row, y in zip(by_c, turn.images)]
                     for by_c, turn in zip(prefix, system._sigma_powers)]
-            tables[n] = (M, rows, _form_columns(rows, system.key_table(n)[0]),
-                         qvals, raised)
+            tables[n] = (M, rows, _form_columns(
+                rows, system.key_table(n)[0], M), qvals, raised)
     key = (depth,) + (0,) * len(system.key_table(depth)[0])
     return system._keyed_node(
         (0,) * (system.ctx.D + 1), depth, key, tables.__getitem__,
         [turn * relabel for turn in system._sigma_powers],
-        Memo(system.ctx.cache_cap))
+        Memo(system.ctx.m ** depth))
 
 
 def closed_form_sequences(q, n_max):

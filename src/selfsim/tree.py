@@ -182,38 +182,35 @@ class Permutation(object):
 
 
 def _cycle_powers(tup):
-    """power(e), the e-th power of a 0-based permutation tuple.  Its cycles
-    are stored column by column per cycle length, so power(e) shifts the
-    columns of each length n by e mod n (two slices) and gathers once."""
-    where = [None] * len(tup)   # marks the points seen, then positions
-    by_length = {}
+    """power(e), the e-th power of a 0-based permutation tuple: each cycle
+    rotated by e mod its length (two slices), then one gather."""
+    seen = [False] * len(tup)
+    cycles = []
     for start, nxt in enumerate(tup):
-        if where[start] is None:
-            where[start] = 0
+        if not seen[start]:
+            seen[start] = True
             cyc = [start]
             while nxt != start:
-                where[nxt] = 0
+                seen[nxt] = True
                 cyc.append(nxt)
                 nxt = tup[nxt]
-            by_length.setdefault(len(cyc), []).append(cyc)
-    groups = [(n, len(cycs), cycs[0] if len(cycs) == 1 else
-               [a for col in zip(*cycs) for a in col])
-              for n, cycs in by_length.items()]
-    for i, a in enumerate([a for _, _, flat in groups for a in flat]):
+            cycles.append(cyc)
+    where = [0] * len(tup)
+    for i, a in enumerate([a for cyc in cycles for a in cyc]):
         where[a] = i
     gather = itemgetter(*where)
 
     def power(e):
         images = []
-        for n, count, flat in groups:
-            images += flat[e % n * count:] + flat[:e % n * count]
+        for cyc in cycles:
+            images += cyc[e % len(cyc):] + cyc[:e % len(cyc)]
         return gather(images)
     return power
 
 
-def _form_columns(rows, forms):
-    """For each c, one tuple per form of its values at the rows[c][y]."""
-    return tuple([tuple(zip(*[[sum(map(mul, row, f)) for f in forms]
+def _form_columns(rows, forms, M):
+    """For each c, one tuple per form of its values mod M at the rows[c][y]."""
+    return tuple([tuple(zip(*[[sum(map(mul, row, f)) % M for f in forms]
                               for row in by_c])) for by_c in rows])
 
 
@@ -1213,7 +1210,7 @@ class FoldSystem(System):
 
     def child_key_table(self, n):
         """(m^n, P, cols, qvals, raised), built on first use per depth:
-        P the prefix sums, and the unreduced values of key_forms(n) at
+        P the prefix sums, and the values mod m^n of key_forms(n) at
         P[c][y] (cols[c][i][y] for form i) and at qsum; raised[i] is
         (0,) + form i, whose value at Q is form i at Q shifted down."""
         hit = self._child_tables.get(n)
@@ -1221,8 +1218,8 @@ class FoldSystem(System):
             return hit
         forms, M = self.key_table(n)
         return self._child_tables.put(n, (
-            M, self._prefix, _form_columns(self._prefix, forms),
-            tuple([sum(map(mul, self._qsum, f)) for f in forms]),
+            M, self._prefix, _form_columns(self._prefix, forms, M),
+            tuple([sum(map(mul, self._qsum, f)) % M for f in forms]),
             tuple([(0,) + f for f in forms])))
 
     def _exponent(self, word):

@@ -9,9 +9,10 @@ lift table.  The oracles kept here are the per-vertex loops they replaced,
 which walk every vertex of the level and, for the portrait, every shared
 node again at each vertex above it; the fast recursion's oracle takes
 each power by walking the cycles one point at a time (`_perm_tuple_pow`).
-Its draws reach m = 5, and about half of them are made with a non-unit
-q(0), so that their level permutations from level 2 on have several
-cycles.
+Its draws are the fold systems of the other fold tests (m 2..4, small K
+and D, sometimes q = 0) and systems that reach m = 5, about half of them
+made with a non-unit q(0), so that their level permutations from level 2
+on have several cycles.
 Products, inverses, powers, identities and both level permutations build
 their images without the bijection check; each must give images that the
 validating constructor accepts, equal to what the checked loops give.
@@ -23,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from selfsim.adic import PowerSeries
 from selfsim.tree import Context, FoldSystem, Permutation, Portrait
+
+from test_fold_keys import fold_systems
 
 
 def _perm_tuple_pow(tup, n):
@@ -158,11 +161,12 @@ def level_systems(draw):
                       Permutation.from_cycles([cycle], m))
 
 
-@settings(max_examples=80, deadline=None)
-@given(level_systems())
+@settings(max_examples=140, deadline=None)
+@given(st.one_of(fold_systems(), level_systems()))
 def test_level_perm_fast_matches_the_vertex_loop(system):
-    # the digit recursion does not read the depth bound, so every level up
-    # to 6 (5 at m = 5) is checked, and the portrait's up to L
+    # fold_systems draws m in 2..4 and depth 1..6; the digit recursion does
+    # not read the depth bound, so every level up to 6 (5 at m = 5) is
+    # checked, and the portrait's up to L
     g = system.generator()
     m = system.ctx.m
     for l in range(1, 7 if m < 5 else 6):
