@@ -422,15 +422,21 @@ def relator_parts(r):
     return PowerSeries(mod, r.D), 0
 
 
-_splits = Memo(1024)   # relator series -> relator_parts of it
+_splits = Memo(1024)   # relator series -> (q, j, carry terms of q)
+
+
+def _split(r):
+    """relator_parts(r) with its carry terms, computed once per series."""
+    hit = _splits.get(r)
+    if hit is None:
+        q, j = relator_parts(r)
+        hit = _splits.put(r, (q, j, _carry_terms(q.coeffs, j, r.D)))
+    return hit
 
 
 def split_relator(r):
     """relator_parts(r), computed once per relator series and kept."""
-    hit = _splits.get(r)
-    if hit is None:
-        hit = _splits.put(r, relator_parts(r))
-    return hit
+    return _split(r)[:2]
 
 
 class QuotientElement(object):
@@ -480,6 +486,27 @@ class QuotientElement(object):
         return "QuotientElement(%s)" % format_series(self.as_series())
 
 
+def _carry_terms(qlifts, j, D):
+    """(offset, q_s) for the nonzero q terms a carry can reach, offsets rising."""
+    return tuple((j + s, qs) for s, qs in enumerate(qlifts)
+                 if qs and j + s <= D)
+
+
+def _carry(c, m, terms, D):
+    """Carry-rewrite the list c of D + 1 integers in place into digits."""
+    for t in range(D + 1):
+        v = c[t]
+        if 0 <= v < m:
+            continue
+        b, c[t] = divmod(v, m)
+        for offset, qs in terms:
+            idx = t + offset
+            if idx > D:
+                break
+            c[idx] += b * qs
+    return c
+
+
 def reduce_digits(coeffs, m, qlifts, j, D):
     """Carry-rewrite integer coefficients into digits in [0, m).
 
@@ -488,17 +515,7 @@ def reduce_digits(coeffs, m, qlifts, j, D):
     (truncation, not an error).
     """
     c = list(coeffs[:D + 1]) + [0] * (D + 1 - len(coeffs))
-    # (offset, q_s) for the nonzero q terms a carry can reach, offsets rising
-    terms = [(j + s, qs) for s, qs in enumerate(qlifts) if qs and j + s <= D]
-    for t in range(D + 1):
-        b, c[t] = divmod(c[t], m)
-        if b:
-            for offset, qs in terms:
-                idx = t + offset
-                if idx > D:
-                    break
-                c[idx] += b * qs
-    return c
+    return _carry(c, m, _carry_terms(qlifts, j, D), D)
 
 
 def reduce_mod_r(coeffs, r):
@@ -507,18 +524,20 @@ def reduce_mod_r(coeffs, r):
     coeffs may be a PowerSeries, a plain integer (a constant), or a sequence
     of integers indexed by degree.
     """
-    q, j = split_relator(r)
+    q, j, terms = _split(r)
     mod = r.mod
-    if isinstance(coeffs, PowerSeries):
-        if coeffs.mod != mod or coeffs.D != r.D:
+    D = r.D
+    if isinstance(coeffs, int):
+        c = [coeffs] + [0] * D
+    elif isinstance(coeffs, PowerSeries):
+        if coeffs.mod != mod or coeffs.D != D:
             raise ContextMismatch("series context differs from relator context")
-        cs = coeffs.coeffs
-    elif isinstance(coeffs, int):
-        cs = [coeffs]
+        c = list(coeffs.coeffs)
     else:
-        cs = [c.value if isinstance(c, MAdicInt) else int(c) for c in coeffs]
-    digits = reduce_digits(cs, mod.m, q.coeffs, j, r.D)
-    return QuotientElement(mod, r.D, j, q.coeffs, digits)
+        c = [v.value if isinstance(v, MAdicInt) else int(v) for v in coeffs]
+        del c[D + 1:]
+        c += [0] * (D + 1 - len(c))
+    return QuotientElement(mod, D, j, q.coeffs, _carry(c, mod.m, terms, D))
 
 
 def congruence_exponent(r, p, k):

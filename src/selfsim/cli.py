@@ -787,7 +787,14 @@ def _add_output_flags(parser):
                       help="one JSON object per line (the default)")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and kept per process.
+
+    It is static configuration: parse_args returns a fresh Namespace, and
+    argparse reads the output streams and terminal width only when it
+    prints usage or help.
+    """
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Exact sessions with self-similar tree automorphisms.",

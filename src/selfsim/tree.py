@@ -482,29 +482,27 @@ class Portrait(object):
         """
         if l < 1 or l > self.depth:
             raise DepthExceeded("level %d outside portrait depth %d" % (l, self.depth))
-        m = self.m
-        seen = {}
-
-        def images(node, lev):
-            # 1-indexed images of the m^lev vertices below node
-            out = seen.get(id(node))
-            if out is not None:
-                return out
-            if lev == 1:
-                out = node.root.images
-            else:
-                block = m ** (lev - 1)
-                out = []
-                for child, y in zip(node.children, node.root.images):
-                    tbase = (y - 1) * block
-                    out += [tbase + w for w in images(child, lev - 1)]
-            seen[id(node)] = out
-            return out
-
-        return Permutation._derived(tuple(images(self, l)))
+        return Permutation._derived(tuple(_level_images(self, l, self.m, {})))
 
     def __repr__(self):
         return "Portrait(depth=%d, root=%r)" % (self.depth, self.root)
+
+
+def _level_images(node, lev, m, seen):
+    """1-indexed images of the m^lev vertices below node, tabled in seen."""
+    out = seen.get(id(node))
+    if out is not None:
+        return out
+    if lev == 1:
+        out = node.root.images
+    else:
+        block = m ** (lev - 1)
+        out = []
+        for child, y in zip(node.children, node.root.images):
+            tbase = (y - 1) * block
+            out += [tbase + w for w in _level_images(child, lev - 1, m, seen)]
+    seen[id(node)] = out
+    return out
 
 
 def _products_equal(p, q, r, s, memo):

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from selfsim.adic import (
     AllDivisible, ContextMismatch, MAdicInt, Modulus, NonUnit, PowerSeries,
     QuotientElement, congruence_exponent, format_series, idempotents,
-    parse_series, pro_m_generators, reduce_mod_r, relator_parts,
+    parse_series, pro_m_generators, reduce_digits, reduce_mod_r,
+    relator_parts,
     series_from_json, series_to_json, unit_decompose,
 )
 
@@ -546,3 +547,40 @@ def test_relator_is_split_once_per_series(monkeypatch):
         with pytest.raises(ValueError):
             reduce_mod_r(1, bad)
     assert calls[2:] == [bad, bad]
+
+
+@st.composite
+def carry_cases(draw):
+    """A relator m - q*x^j (m 2..6, j 1..3, q with zero and nonzero
+    lifts) and an input: an int, a list of ints or of MAdicInts, possibly
+    longer than D + 1, or a PowerSeries."""
+    m = draw(st.integers(2, 6))
+    K = draw(st.integers(2, 5))
+    j = draw(st.integers(1, 3))
+    D = draw(st.integers(j, 8))
+    mod = Modulus(m, K)
+    q = draw(st.lists(st.one_of(st.just(0), st.integers(1, mod.mK - 1)),
+                      max_size=D - j + 1))
+    r = PowerSeries(mod, D, [m] + [0] * (j - 1) + [-c for c in q])
+    ints = st.integers(-m ** (K + 2), m ** (K + 2))
+    kind = draw(st.sampled_from(["int", "list", "madic", "series"]))
+    if kind == "int":
+        value = draw(ints)
+        cs = [value]
+    else:
+        cs = draw(st.lists(ints, max_size=D + 3))
+        value = {"list": cs,
+                 "madic": [MAdicInt(mod, c) for c in cs],
+                 "series": PowerSeries(mod, D, cs[:D + 1])}[kind]
+        if kind != "list":
+            cs = [c % mod.mK for c in cs]
+    return r, value, reduce_digits(cs, m, q, j, D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(carry_cases())
+def test_reduce_mod_r_matches_the_digit_oracle(case):
+    # reduce_mod_r takes its carry terms from the kept split of r; the
+    # oracle builds them from the drawn q and j on every call
+    r, value, want = case
+    assert list(reduce_mod_r(value, r).digits) == want

@@ -1,5 +1,6 @@
 """Script language and command-line behavior."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -464,6 +465,43 @@ def test_run_is_deterministic(tmp_path, capsys):
     code2, out2, _ = run_cli(["run", script], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def exit_and_output(argv, capsys):
+    """main's exit code, whether returned or raised by argparse, and what
+    it printed."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_answers_as_a_new_one(tmp_path, capsys,
+                                                        monkeypatch):
+    # main keeps one parser per process; a sequence of calls, usage
+    # errors and help included, answers as a newly built parser does
+    script = write_script(tmp_path, "context m=2\ngen a = (e, a) (1 2)\n"
+                                    "order a L=3\n")
+    argvs = [["run"], ["run", "--help"], ["verify", "ring", "--pretty"],
+             ["verify", "ring"], ["run", script]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(exit_and_output(argv, capsys))
+    assert [c for c, _, _ in fresh] == [2, 0, 0, 0, 0]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    kept = [exit_and_output(argv, capsys) for argv in argvs * 2]
+    assert kept == fresh * 2
+    assert built == ["selfsim", "selfsim run", "selfsim verify"]
 
 
 def test_run_reads_stdin(tmp_path, capsys, monkeypatch):

@@ -90,9 +90,11 @@ def test_closure_never_calls_the_digit_oracle():
 
 
 def called_names(fn):
-    """Names of everything fn calls, as attributes or plain names."""
+    """Names of everything fn calls or passes to a call, as attributes or
+    plain names; a method passed as a value may be called by its taker."""
     return {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            for f in (n.func for n in ast.walk(fn) if isinstance(n, ast.Call))}
+            for n in ast.walk(fn) if isinstance(n, ast.Call)
+            for f in [n.func, *n.args, *(k.value for k in n.keywords)]}
 
 
 def method_calls(tree, classes):
@@ -119,6 +121,14 @@ def reached_from(calls, start):
 
 KEYED = ("key_forms", "key_table", "child_key_table", "_portrait",
          "_keyed_node")
+
+
+def test_keyed_guards_see_methods_passed_as_values():
+    # FoldSystem._portrait hands child_key_table to _keyed_node, which
+    # calls it as table(d - 1), so the call graph keeps that edge
+    tree = dict(parsed_modules())["tree.py"]
+    calls = method_calls(tree, ("FoldSystem",))
+    assert {"_keyed_node", "child_key_table"} <= calls["_portrait"]
 
 
 def test_word_expansion_never_reaches_the_portrait_key():
