@@ -1,7 +1,8 @@
 """Level permutations and permutation products, against their loops.
 
 `Portrait.level_perm` computes the images below each distinct DAG node
-once per call and appends each child block with one comprehension;
+once per call and appends each child block with one comprehension, and
+leaves no reference cycle behind;
 `FoldSystem.level_perm_fast` finds the cycles of each lower level once per
 call, takes each power of it from slices of those cycles and one gather,
 and applies each (letter, degree) term of the digit recursion through one
@@ -18,6 +19,7 @@ their images without the bijection check; each must give images that the
 validating constructor accepts, equal to what the checked loops give.
 """
 
+import gc
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -178,6 +180,25 @@ def test_level_perm_fast_matches_the_vertex_loop(system):
                 portrait, l)
     if gcd(system._qsum[0], m) > 1:
         assert not system.level_perm_fast(2).is_full_cycle()
+
+
+def test_level_perm_leaves_nothing_for_the_collector():
+    # the image recursion takes its table as an argument, so a call makes
+    # no reference cycle that would keep the table alive after it returns
+    ctx = Context(3, K=9, D=8, L=8)
+    system = FoldSystem(ctx, "g", [PowerSeries(ctx.mod, ctx.D, e)
+                                   for e in ([0], [1], [1, 1])], "(1 3 2)")
+    portrait = system.generator().portrait(6)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for l in range(1, 7):
+            portrait.level_perm(l)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @settings(max_examples=200, deadline=None)
