@@ -338,7 +338,7 @@ def adding_machine_conjugator(beta, j, depth=None):
     ctx = system.ctx
     depth = ctx.depth(depth)
     if j < 1:
-        raise ValueError("shift %d outside the degree bound" % j)
+        raise ValueError("shift must be at least 1")
     if j - 1 > ctx.D:
         raise ContextError("shift %d outside the degree bound" % j)
     qsum = system._qsum

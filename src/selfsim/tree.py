@@ -181,30 +181,32 @@ class Permutation(object):
         return "".join("(%s)" % " ".join(str(a) for a in c) for c in cycs)
 
 
-def _cycle_powers(tup):
-    """power(e), the e-th power of a 0-based permutation tuple: each cycle
-    rotated by e mod its length (two slices), then one gather."""
-    seen = [False] * len(tup)
+def _cycle_powers(images):
+    """power(e), the e-th power of a permutation of 1..n given by its images,
+    as a 0-based tuple: each cycle rotated by e mod its length (two slices),
+    then one gather."""
+    seen = [False] * len(images)
     cycles = []
-    for start, nxt in enumerate(tup):
+    for start, nxt in enumerate(images):
         if not seen[start]:
             seen[start] = True
             cyc = [start]
+            nxt -= 1
             while nxt != start:
                 seen[nxt] = True
                 cyc.append(nxt)
-                nxt = tup[nxt]
+                nxt = images[nxt] - 1
             cycles.append(cyc)
-    where = [0] * len(tup)
+    where = [0] * len(images)
     for i, a in enumerate([a for cyc in cycles for a in cyc]):
         where[a] = i
     gather = itemgetter(*where)
 
     def power(e):
-        images = []
+        rotated = []
         for cyc in cycles:
-            images += cyc[e % len(cyc):] + cyc[:e % len(cyc)]
-        return gather(images)
+            rotated += cyc[e % len(cyc):] + cyc[:e % len(cyc)]
+        return gather(rotated)
     return power
 
 
@@ -1087,6 +1089,8 @@ class FoldSystem(System):
             ctx.mod, ctx.D, [ctx.m] + [-v for v in self._qsum[:ctx.D]])
         self._key_tables = Memo(ctx.K)   # n -> (key_forms(n), m^n)
         self._child_tables = Memo(ctx.K)   # n -> child_key_table(n)
+        # level l >= 2 -> (its Permutation, _cycle_powers of level l - 1)
+        self._levels = Memo(ctx.cache_cap)
         entry_words = []
         for lifts in self._plifts:
             entry_words.append(
@@ -1331,16 +1335,27 @@ class FoldSystem(System):
         Each (letter, degree) term acts on a block through one lift table,
         whose entry at u + v (u a multiple of the width m^(l-1-d), v below
         it) is u + piece[v], the power taken from the cycles of the lower
-        level, found once per call (_cycle_powers); the terms compose by
-        itemgetter gathers through those tables, from the first nonzero one.
+        level (_cycle_powers); the terms compose by itemgetter gathers
+        through those tables, from the first nonzero one.
+
+        The levels are found once per system: the Memo _levels keeps each
+        level from 2 up with the cycle powers of the level below it, and a
+        call goes on from the highest level held with all those below it.
+        Level 1 is sigma, so an emptied Memo restarts the chain there.
         """
         if l < 1:
             raise DepthExceeded("level must be at least 1")
         m = self.ctx.m
-        out = [i - 1 for i in self.sigma.images]
+        levels = self._levels
+        perm = self.sigma
         powers = [None]
-        for lev in range(2, l + 1):
-            powers.append(_cycle_powers(out))
+        lev = 2
+        while lev <= l and lev in levels:
+            perm, power = levels[lev]
+            powers.append(power)
+            lev += 1
+        for lev in range(lev, l + 1):
+            powers.append(_cycle_powers(perm.images))
             block = m ** (lev - 1)
             out = []
             for p_y, y in zip(self._plifts, self.sigma.images):
@@ -1352,9 +1367,11 @@ class FoldSystem(System):
                         lift = piece if width == block else [
                             u + v for u in range(0, block, width) for v in piece]
                         ty = lift if ty is None else itemgetter(*ty)(lift)
-                tbase = (y - 1) * block
+                tbase = (y - 1) * block + 1
                 out += [tbase + t for t in (range(block) if ty is None else ty)]
-        return Permutation._derived(tuple([i + 1 for i in out]))
+            perm = Permutation._derived(tuple(out))
+            levels.put(lev, (perm, powers[-1]))
+        return perm
 
 
 def level_perm_fast(gen_expr, l):

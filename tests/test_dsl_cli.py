@@ -709,6 +709,16 @@ def test_exit_conjugate_shift_past_degree_bound(tmp_path, capsys):
     assert "shift 10 outside the degree bound" in err
 
 
+def test_exit_conjugate_shift_below_one(tmp_path, capsys):
+    # j = 0 is below the first shift, as in adding_machine, not past D
+    script = write_script(tmp_path, "context m=2 K=8 D=8 L=8\n"
+                          "gen a = (e, a) (1 2)\nconjugate a j=0 L=4\n")
+    code, out, err = run_cli(["run", script], capsys)
+    assert code == 4
+    assert not out
+    assert err == script + ":3: shift must be at least 1\n"
+
+
 def test_order_has_no_enumeration_limit(tmp_path, capsys):
     # 3^14 vertices on the last level: past what enumeration could afford
     script = write_script(tmp_path, "context m=3 K=14 D=14 L=14\n"

@@ -3,10 +3,12 @@
 `Portrait.level_perm` computes the images below each distinct DAG node
 once per call and appends each child block with one comprehension, and
 leaves no reference cycle behind;
-`FoldSystem.level_perm_fast` finds the cycles of each lower level once per
-call, takes each power of it from slices of those cycles and one gather,
-and applies each (letter, degree) term of the digit recursion through one
-lift table.  The oracles kept here are the per-vertex loops they replaced,
+`FoldSystem.level_perm_fast` builds each level and finds its cycles once
+per system, keeping them in one Memo, takes each power of a level from
+slices of its cycles and one gather, and applies each (letter, degree)
+term of the digit recursion through one lift table; whatever order the
+levels are asked in, and however small SELFSIM_CACHE bounds that Memo,
+every answer is a fresh system's.  The oracles kept here are the per-vertex loops they replaced,
 which walk every vertex of the level and, for the portrait, every shared
 node again at each vertex above it; the fast recursion's oracle takes
 each power by walking the cycles one point at a time (`_perm_tuple_pow`).
@@ -22,12 +24,14 @@ validating constructor accepts, equal to what the checked loops give.
 import gc
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfsim import tree
 from selfsim.adic import PowerSeries
 from selfsim.tree import Context, FoldSystem, Permutation, Portrait
 
-from test_fold_keys import fold_systems
+from test_fold_keys import fold_systems, rebuilt
 
 
 def _perm_tuple_pow(tup, n):
@@ -180,6 +184,65 @@ def test_level_perm_fast_matches_the_vertex_loop(system):
                 portrait, l)
     if gcd(system._qsum[0], m) > 1:
         assert not system.level_perm_fast(2).is_full_cycle()
+
+
+def top_level(system):
+    return 6 if system.ctx.m < 5 else 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(fold_systems(), level_systems()), st.data())
+def test_the_order_of_requests_changes_no_level(system, data):
+    # one system keeps its levels, so it is asked in several orders, then
+    # again with SELFSIM_CACHE=1, where its Memo keeps at most two levels
+    top = top_level(system)
+    want = [None] + [level_perm_fast_loop(system, l)
+                     for l in range(1, top + 1)]
+    ascending = list(range(1, top + 1))
+    shuffled = data.draw(st.permutations(ascending))
+    repeated = data.draw(st.lists(st.sampled_from(ascending), min_size=2,
+                                  max_size=12))
+    requests = ascending + ascending[::-1] + shuffled + repeated
+    for bound in (None, "1"):
+        with pytest.MonkeyPatch.context() as patch:
+            if bound is None:
+                patch.delenv("SELFSIM_CACHE", raising=False)
+            else:
+                patch.setenv("SELFSIM_CACHE", bound)
+            for start in (ascending, ascending[::-1], shuffled, repeated):
+                asked = rebuilt(system)
+                if bound is not None:
+                    assert asked._levels.cap == 1
+                for l in start + requests:
+                    got = asked.level_perm_fast(l)
+                    assert got == rebuilt(system).level_perm_fast(l) == want[l]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(fold_systems(), level_systems()), st.data())
+def test_each_lower_level_is_tabled_once_per_system(system, data):
+    # asking for levels 1..top finds the cycles of levels 1..top-1 once
+    # each, in order; repeated and lower requests find no cycles again
+    top = top_level(system)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("SELFSIM_CACHE", raising=False)
+        system = rebuilt(system)
+        tabled = []
+        cycle_powers = tree._cycle_powers
+
+        def spy(images):
+            tabled.append(images)
+            return cycle_powers(images)
+        patch.setattr(tree, "_cycle_powers", spy)
+        perms = [system.level_perm_fast(l) for l in range(1, top + 1)]
+        m = system.ctx.m
+        assert [len(images) for images in tabled] == [
+            m ** l for l in range(1, top)]
+        assert tabled == [perm.images for perm in perms[:-1]]
+        for l in data.draw(st.lists(st.integers(1, top), min_size=1,
+                                    max_size=8)):
+            assert system.level_perm_fast(l) == perms[l - 1]
+        assert len(tabled) == top - 1
 
 
 def test_level_perm_leaves_nothing_for_the_collector():
