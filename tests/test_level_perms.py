@@ -8,10 +8,11 @@ per system, keeping them in one Memo, takes each power of a level from
 slices of its cycles and one gather, and applies each (letter, degree)
 term of the digit recursion through one lift table; whatever order the
 levels are asked in, and however small SELFSIM_CACHE bounds that Memo,
-every answer is a fresh system's.  The oracles kept here are the per-vertex loops they replaced,
-which walk every vertex of the level and, for the portrait, every shared
-node again at each vertex above it; the fast recursion's oracle takes
-each power by walking the cycles one point at a time (`_perm_tuple_pow`).
+every answer is a fresh system's.  The oracles kept here are the
+per-vertex loops they replaced, which walk every vertex of the level and,
+for the portrait, every shared node again at each vertex above it; the
+fast recursion's oracle takes each power by walking the cycles one point
+at a time (`_perm_tuple_pow`).
 Its draws are the fold systems of the other fold tests (m 2..4, small K
 and D, sometimes q = 0) and systems that reach m = 5, about half of them
 made with a non-unit q(0), so that their level permutations from level 2
@@ -167,6 +168,10 @@ def level_systems(draw):
                       Permutation.from_cycles([cycle], m))
 
 
+def top_level(system):
+    return 6 if system.ctx.m < 5 else 5
+
+
 @settings(max_examples=140, deadline=None)
 @given(st.one_of(fold_systems(), level_systems()))
 def test_level_perm_fast_matches_the_vertex_loop(system):
@@ -175,7 +180,7 @@ def test_level_perm_fast_matches_the_vertex_loop(system):
     # checked, and the portrait's up to L
     g = system.generator()
     m = system.ctx.m
-    for l in range(1, 7 if m < 5 else 6):
+    for l in range(1, top_level(system) + 1):
         got = system.level_perm_fast(l)
         assert validated(got) == got == level_perm_fast_loop(system, l)
         if l <= system.ctx.L:
@@ -184,10 +189,6 @@ def test_level_perm_fast_matches_the_vertex_loop(system):
                 portrait, l)
     if gcd(system._qsum[0], m) > 1:
         assert not system.level_perm_fast(2).is_full_cycle()
-
-
-def top_level(system):
-    return 6 if system.ctx.m < 5 else 5
 
 
 @settings(max_examples=40, deadline=None)
